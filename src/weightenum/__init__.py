@@ -6,7 +6,7 @@ Submodules
     field         arithmetic in F_q, q = p^m <= 16, canonical element order
     cyclotomic    exact values in Q(zeta_p); the additive character chi
     codes         linear codes in rref form, duals, monomial matrices, code files
-    compositions  composition profiles, censuses, the tuple calculus
+    compositions  composition profiles and the joint-profile census
     polynomials   sparse enumerators, character-sum transforms, serialization
     averages      monomial-group averages: brute force, closed form, comparator
     verify        claim sweeps with replayable reports
@@ -24,7 +24,6 @@ from .codes import (
     LinearCode,
     MonomialMatrix,
     all_codes,
-    apply_monomial,
     apply_monomial_code,
     format_code_file,
     monomial_group,
@@ -35,15 +34,11 @@ from .codes import (
 from .compositions import (
     Census,
     CompositionProfile,
-    all_cells,
     bicomposition,
-    cell_index,
     census,
     composition,
     gcomposition,
     iter_compositions,
-    prepend,
-    project_tuple,
 )
 from .polynomials import (
     EnumeratorPolynomial,

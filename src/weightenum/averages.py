@@ -20,7 +20,14 @@ from fractions import Fraction
 
 from .capacity import DEFAULT_BUDGET, check_budget
 from .codes import LinearCode, MonomialMatrix, apply_monomial_code, monomial_group_order
-from .compositions import CompositionProfile, census, composition, iter_compositions
+from .compositions import (
+    CompositionProfile,
+    census,
+    composition,
+    count_profiles,
+    iter_compositions,
+    tail_indices,
+)
 from .polynomials import EnumeratorPolynomial, macwilliams_transform
 
 
@@ -61,32 +68,18 @@ def avg_gfold_bruteforce(
 
     mul = spec.mul_table
     words1 = codes[0].codeword_list(budget=budget)
-    # Per-position partial cell index contributed by the fixed codes.
-    tail_stride = q ** (g - 1)
-    tails = []
-    for combo in itertools.product(*(c.codeword_list(budget=budget) for c in codes[1:])):
-        t = [0] * n
-        for w in combo:
-            for i in range(n):
-                t[i] = t[i] * q + w[i]
-        tails.append(t)
-
-    ncells = q**g
-    counts: dict[tuple[int, ...], int] = {}
+    stride = q ** (g - 1)
+    tails = tail_indices([c.codeword_list(budget=budget) for c in codes[1:]], q, n)
     positions = range(n)
-    for diag in itertools.product(range(1, q), repeat=n):
-        rows = [mul[d] for d in diag]
-        for perm in itertools.permutations(range(n)):
-            images = [
-                [rows[i][u[perm[i]]] * tail_stride for i in positions] for u in words1
-            ]
-            for head in images:
-                for tail in tails:
-                    key = [0] * ncells
-                    for i in positions:
-                        key[head[i] + tail[i]] += 1
-                    key_t = tuple(key)
-                    counts[key_t] = counts.get(key_t, 0) + 1
+    # Every image u*M of a first-code word, diagonals outer, permutations
+    # inner, as per-position cell offsets of the first coordinate.
+    images = (
+        [rows[i][u[perm[i]]] * stride for i in positions]
+        for rows in ([mul[d] for d in diag] for diag in itertools.product(range(1, q), repeat=n))
+        for perm in itertools.permutations(range(n))
+        for u in words1
+    )
+    counts = count_profiles(images, tails, q**g)
     terms = {e: Fraction(c, group) for e, c in counts.items()}
     return EnumeratorPolynomial(spec, g, n, terms)
 
@@ -98,49 +91,6 @@ def avg_cjwe_bruteforce(
 
 
 # -- closed forms ------------------------------------------------------------------
-
-
-def avg_cjwe_closedform(
-    c1: LinearCode, c2: LinearCode, *, budget: int = DEFAULT_BUDGET
-) -> EnumeratorPolynomial:
-    """Closed-form average of a pair: iterate over all fold-2 profiles eta of
-    total n, take the census counts of the two marginals, and weight the
-    monomial x^eta by
-
-        A_r * A_s * prod_i mult(s_i; column_i(eta)) / mult(n; r)
-
-    where r and s are the first- and second-coordinate marginals of eta and
-    column i collects the cells whose second coordinate is w_i."""
-    if c1.spec != c2.spec or c1.n != c2.n:
-        raise ValueError("codes must share field and length")
-    spec, n = c1.spec, c1.n
-    q = spec.q
-    profile_count = math.comb(n + q * q - 1, q * q - 1)
-    check_budget(profile_count * q * q, budget, "closed-form average")
-
-    cen1 = census([c1], budget=budget).counts
-    cen2 = census([c2], budget=budget).counts
-
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for eta in iter_compositions(n, q * q):
-        r = [0] * q
-        s = [0] * q
-        for idx, e in enumerate(eta):
-            r[idx // q] += e
-            s[idx % q] += e
-        a_r = cen1.get(tuple(r), 0)
-        if not a_r:
-            continue
-        a_s = cen2.get(tuple(s), 0)
-        if not a_s:
-            continue
-        num = 1
-        for i in range(q):
-            num *= multinomial(s[i], [eta[alpha * q + i] for alpha in range(q)])
-        coef = Fraction(a_r * a_s * num, multinomial(n, r))
-        if coef:
-            terms[eta] = coef
-    return EnumeratorPolynomial(spec, 2, n, terms)
 
 
 def avg_gfold_closedform(
@@ -192,6 +142,15 @@ def avg_gfold_closedform(
         if coef:
             terms[eta] = coef
     return EnumeratorPolynomial(spec, g, n, terms)
+
+
+def avg_cjwe_closedform(
+    c1: LinearCode, c2: LinearCode, *, budget: int = DEFAULT_BUDGET
+) -> EnumeratorPolynomial:
+    """Closed-form average of a pair: the g = 2 case of avg_gfold_closedform,
+    where the weight of x^eta is Yoshida's A_r * A_s * prod_i mult(s_i;
+    column_i(eta)) / mult(n; r) for the marginals r and s of eta."""
+    return avg_gfold_closedform([c1, c2], budget=budget)
 
 
 # -- averaged transforms -------------------------------------------------------------

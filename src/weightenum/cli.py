@@ -12,13 +12,7 @@ import argparse
 import sys
 
 from .capacity import DEFAULT_BUDGET, CapacityError
-from .averages import (
-    avg_cjwe_bruteforce,
-    avg_cjwe_closedform,
-    avg_gfold_bruteforce,
-    avg_gfold_closedform,
-    avg_macwilliams,
-)
+from .averages import avg_cjwe_bruteforce, avg_gfold_bruteforce, avg_gfold_closedform
 from .codes import CodeFileError, format_code_file, parse_code_file, random_code
 from .field import field_for_q
 from .polynomials import cjwe, cwe, gfold_cjwe, macwilliams_transform
@@ -88,30 +82,17 @@ def _cmd_dual(args) -> int:
 
 def _cmd_avg(args) -> int:
     codes = _load_all(args.paths)
-    if args.method == "brute":
-        if len(codes) == 2:
-            poly = avg_cjwe_bruteforce(codes[0], codes[1], budget=args.budget)
-        else:
-            poly = avg_gfold_bruteforce(codes, budget=args.budget)
-    else:
-        if len(codes) == 2:
-            poly = avg_cjwe_closedform(codes[0], codes[1], budget=args.budget)
-        else:
-            poly = avg_gfold_closedform(codes, budget=args.budget)
-    _emit(args, _poly_text(args, poly))
+    kernel = avg_gfold_bruteforce if args.method == "brute" else avg_gfold_closedform
+    _emit(args, _poly_text(args, kernel(codes, budget=args.budget)))
     return 0
 
 
 def _cmd_transform(args) -> int:
     c1, c2 = _load_all([args.path1, args.path2])
-    which = _VARIANTS[args.variant]
+    enumerator = avg_cjwe_bruteforce if args.average else cjwe
+    base = enumerator(c1, c2, budget=args.budget)
     sizes = (c1.size, c2.size)
-    if args.average:
-        base = avg_cjwe_bruteforce(c1, c2, budget=args.budget)
-        poly = avg_macwilliams(base, which, sizes, budget=args.budget)
-    else:
-        base = cjwe(c1, c2, budget=args.budget)
-        poly = macwilliams_transform(base, which, sizes, budget=args.budget)
+    poly = macwilliams_transform(base, _VARIANTS[args.variant], sizes, budget=args.budget)
     _emit(args, _poly_text(args, poly))
     return 0
 
@@ -227,6 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.budget < 0:
+        parser.error(f"argument --budget: must be non-negative, got {args.budget}")
     try:
         return args.func(args)
     except CodeFileError as exc:

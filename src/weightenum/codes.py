@@ -185,10 +185,6 @@ class MonomialMatrix:
         return MonomialMatrix(self.spec, self.n, tuple(inv_perm), diag)
 
 
-def apply_monomial(word, M: MonomialMatrix) -> tuple[int, ...]:
-    return M.apply(word)
-
-
 def apply_monomial_code(code: LinearCode, M: MonomialMatrix) -> LinearCode:
     if code.spec != M.spec or code.n != M.n:
         raise ValueError("monomial matrix does not match the code")

@@ -2,12 +2,14 @@
 
 A fold-g profile counts, for each cell a in F_q^g, the positions i where
 the g words take the joint value a.  Cells are ordered lexicographically in
-element indices, so cell (a_1, ..., a_g) sits at
+element indices, so cell (a_1, ..., a_g) sits at index
 
-    cell_index = a_1 * q^(g-1) + a_2 * q^(g-2) + ... + a_g,
+    a_1 * q^(g-1) + a_2 * q^(g-2) + ... + a_g,
 
 and a profile is a dense tuple of q^g counts in that order.  The same
 tuples index enumerator polynomial variables and census keys.
+count_profiles is the one loop that counts profiles of word tuples, for the
+census and for the brute-force average.
 """
 
 from __future__ import annotations
@@ -18,30 +20,6 @@ from dataclasses import dataclass
 from .capacity import DEFAULT_BUDGET, check_budget
 from .codes import LinearCode
 from .field import FieldSpec
-
-
-def all_cells(q: int, fold: int) -> list[tuple[int, ...]]:
-    """Cells of F_q^fold as index tuples, canonical (lexicographic) order."""
-    return list(itertools.product(range(q), repeat=fold))
-
-
-def cell_index(q: int, cell) -> int:
-    idx = 0
-    for a in cell:
-        idx = idx * q + a
-    return idx
-
-
-def project_tuple(a: tuple, j: int) -> tuple:
-    """Delete coordinate j (0-based) from the tuple a."""
-    if not (0 <= j < len(a)):
-        raise IndexError(f"coordinate {j} out of range for a {len(a)}-tuple")
-    return a[:j] + a[j + 1 :]
-
-
-def prepend(z, b: tuple) -> tuple:
-    """Prefix the value z to the tuple b."""
-    return (z,) + tuple(b)
 
 
 @dataclass(frozen=True)
@@ -71,16 +49,6 @@ class CompositionProfile:
         for idx, c in enumerate(self.counts):
             out[(idx // div) % self.q] += c
         return CompositionProfile(self.q, 1, tuple(out))
-
-    def drop_first(self) -> CompositionProfile:
-        """Fold-(g-1) profile obtained by summing out the first coordinate."""
-        if self.fold < 2:
-            raise ValueError("drop_first needs fold >= 2")
-        size = self.q ** (self.fold - 1)
-        out = [0] * size
-        for idx, c in enumerate(self.counts):
-            out[idx % size] += c
-        return CompositionProfile(self.q, self.fold - 1, tuple(out))
 
 
 def composition(spec: FieldSpec, word) -> CompositionProfile:
@@ -145,17 +113,33 @@ class Census:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def b_count(self, r, s, eta) -> int:
-        """Pair count refined by both marginals: the joint count when r and s
-        are the marginals of eta, zero otherwise.  Fold 2 only."""
-        if self.fold != 2:
-            raise ValueError("b_count is defined for fold-2 censuses")
-        eta_p = eta if isinstance(eta, CompositionProfile) else CompositionProfile(self.q, 2, tuple(eta))
-        r_key = r.counts if isinstance(r, CompositionProfile) else tuple(r)
-        s_key = s.counts if isinstance(s, CompositionProfile) else tuple(s)
-        if eta_p.marginal(0).counts != r_key or eta_p.marginal(1).counts != s_key:
-            return 0
-        return self.counts.get(eta_p.counts, 0)
+
+def tail_indices(word_lists, q: int, n: int) -> list[list[int]]:
+    """Per-position partial cell index of every tuple in the product of
+    word_lists, in product order (one all-zero entry for no lists)."""
+    tails = []
+    for combo in itertools.product(*word_lists):
+        t = [0] * n
+        for w in combo:
+            for i in range(n):
+                t[i] = t[i] * q + w[i]
+        tails.append(t)
+    return tails
+
+
+def count_profiles(heads, tails, ncells: int) -> dict[tuple[int, ...], int]:
+    """Profile counts of all (head, tail) pairs, heads outer: position i of a
+    pair lies in cell head[i] + tail[i].  The package's one profile loop."""
+    counts: dict[tuple[int, ...], int] = {}
+    for head in heads:
+        positions = range(len(head))
+        for tail in tails:
+            key = [0] * ncells
+            for i in positions:
+                key[head[i] + tail[i]] += 1
+            key_t = tuple(key)
+            counts[key_t] = counts.get(key_t, 0) + 1
+    return counts
 
 
 def census(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> Census:
@@ -173,15 +157,7 @@ def census(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> Census:
     q = spec.q
     g = len(codes)
     word_lists = [c.codeword_list(budget=budget) for c in codes]
-    counts: dict[tuple[int, ...], int] = {}
-    ncells = q**g
-    for combo in itertools.product(*word_lists):
-        key = [0] * ncells
-        for i in range(n):
-            idx = 0
-            for w in combo:
-                idx = idx * q + w[i]
-            key[idx] += 1
-        key_t = tuple(key)
-        counts[key_t] = counts.get(key_t, 0) + 1
+    stride = q ** (g - 1)
+    heads = [[a * stride for a in w] for w in word_lists[0]]
+    counts = count_profiles(heads, tail_indices(word_lists[1:], q, n), q**g)
     return Census(q, g, n, counts)

@@ -98,10 +98,17 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, m: int, defining_poly=None):
+        # is_prime(p) and p**m are unbounded in p and m: bound both first.
+        if isinstance(p, int) and p > MAX_FIELD_SIZE:
+            raise CapacityError(f"p = {p} exceeds the supported maximum q = {MAX_FIELD_SIZE}")
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"m = {m} is not a positive integer")
+        if m >= MAX_FIELD_SIZE.bit_length():  # p >= 2, so p**m >= 2**m > MAX
+            raise CapacityError(
+                f"q = p^m with p = {p}, m = {m} exceeds the supported maximum {MAX_FIELD_SIZE}"
+            )
         q = p**m
         if q > MAX_FIELD_SIZE:
             raise CapacityError(f"q = {q} exceeds the supported maximum {MAX_FIELD_SIZE}")

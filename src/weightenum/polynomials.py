@@ -23,12 +23,12 @@ names variables x[i] / x[i,j] / x[i1,...,ig] by element indices.
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 
 from .capacity import DEFAULT_BUDGET, check_budget
 from .codes import LinearCode
+from .compositions import census
 from .cyclotomic import _vec_add, _vec_is_rational, _vec_mul, _vec_scale, _zeta_vec
 from .field import FieldSpec, field_for_q
 
@@ -174,32 +174,10 @@ def cjwe(c1: LinearCode, c2: LinearCode, *, budget: int = DEFAULT_BUDGET) -> Enu
 
 def gfold_cjwe(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> EnumeratorPolynomial:
     """Joint enumerator of g codes: sum over codeword tuples of the monomial
-    recording their fold-g composition profile."""
-    if not codes:
-        raise ValueError("need at least one code")
-    spec = codes[0].spec
-    n = codes[0].n
-    if any(c.spec != spec or c.n != n for c in codes):
-        raise ValueError("codes must share field and length")
-    size = 1
-    for c in codes:
-        size *= c.size
-    check_budget(size * n, budget, "joint enumerator")
-    q = spec.q
-    g = len(codes)
-    ncells = q**g
-    counts: dict[tuple[int, ...], int] = {}
-    word_lists = [c.codeword_list(budget=budget) for c in codes]
-    for combo in itertools.product(*word_lists):
-        key = [0] * ncells
-        for i in range(n):
-            idx = 0
-            for w in combo:
-                idx = idx * q + w[i]
-            key[idx] += 1
-        key_t = tuple(key)
-        counts[key_t] = counts.get(key_t, 0) + 1
-    return EnumeratorPolynomial(spec, g, n, {e: Fraction(c) for e, c in counts.items()})
+    recording their fold-g composition profile, counted by the census."""
+    cen = census(codes, budget=budget)
+    terms = {e: Fraction(c) for e, c in cen.counts.items()}
+    return EnumeratorPolynomial(codes[0].spec, cen.fold, cen.n, terms)
 
 
 # -- character-sum transforms -----------------------------------------------------

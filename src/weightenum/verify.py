@@ -21,10 +21,8 @@ from dataclasses import dataclass, field
 from .capacity import DEFAULT_BUDGET
 from .averages import (
     avg_cjwe_bruteforce,
-    avg_cjwe_closedform,
     avg_gfold_bruteforce,
     avg_gfold_closedform,
-    avg_macwilliams,
     check_lemma31,
     check_lemma42,
     compare,
@@ -39,7 +37,7 @@ from .codes import (
 )
 from .compositions import iter_compositions
 from .field import field_for_q
-from .polynomials import cjwe, macwilliams_transform
+from .polynomials import TRANSFORM_VARIANTS, cjwe, macwilliams_transform
 
 CLAIMS = (
     "macwilliams",
@@ -116,23 +114,26 @@ def _code_pool(spec, n) -> list[LinearCode]:
     return list(all_codes(spec, n))
 
 
-def _random_pair(spec, n, rng) -> tuple[LinearCode, LinearCode]:
-    k1 = rng.randrange(n + 1)
-    k2 = rng.randrange(n + 1)
-    c1 = random_code(spec, n, k1, rng.randrange(2**32))
-    c2 = random_code(spec, n, k2, rng.randrange(2**32))
-    return c1, c2
+def _draw_pair(spec, n, g, rng) -> list[LinearCode]:
+    """Frozen pair draw order: k1, k2, then one seed per code."""
+    ks = [rng.randrange(n + 1) for _ in range(2)]
+    return [random_code(spec, n, k, rng.randrange(2**32)) for k in ks]
 
 
-def _pairs_for_cell(spec, n, est_per_pair, trials, seed):
-    """Exhaustive code pairs when affordable, else seeded random pairs."""
+def _draw_tuple(spec, n, g, rng) -> list[LinearCode]:
+    """Frozen g-fold draw order: k then seed, code by code."""
+    return [random_code(spec, n, rng.randrange(n + 1), rng.randrange(2**32)) for _ in range(g)]
+
+
+def _instances(spec, n, g, est_per_tuple, trials, seed, draw):
+    """All g-tuples of codes when affordable, else seeded random draws."""
     if trials is None:
         pool = _code_pool(spec, n)
-        if len(pool) ** 2 * est_per_pair <= _EXHAUSTIVE_STEP_CAP:
-            return [(a, b) for a in pool for b in pool], "exhaustive"
+        if len(pool) ** g * est_per_tuple <= _EXHAUSTIVE_STEP_CAP:
+            return [list(t) for t in itertools.product(pool, repeat=g)], "exhaustive"
         trials = _AUTO_TRIALS
     rng = random.Random(seed)
-    return [_random_pair(spec, n, rng) for _ in range(trials)], f"random:{trials}"
+    return [draw(spec, n, g, rng) for _ in range(trials)], f"random:{trials}"
 
 
 def _cell_seed(seed: int, q: int, n: int) -> int:
@@ -154,94 +155,44 @@ def _grid(claim: str, q, n):
 def _sweep_transform(check, claim, q, n, trials, seed, budget):
     spec = field_for_q(q)
     est = (q * q) ** n * q ** (2 * n)
-    pairs, mode = _pairs_for_cell(spec, n, est, trials, _cell_seed(seed, q, n))
-    variants = (
-        ("first", "second", "both")
-        if claim == "macwilliams"
-        else (_VARIANT_OF[claim],)
-    )
+    pairs, mode = _instances(spec, n, 2, est, trials, _cell_seed(seed, q, n), _draw_pair)
+    variants = TRANSFORM_VARIANTS if claim == "macwilliams" else (_VARIANT_OF[claim],)
+    enumerator = cjwe if claim == "macwilliams" else avg_cjwe_bruteforce
     for i, (c1, c2) in enumerate(pairs):
-        sizes = (c1.size, c2.size)
-        if claim == "macwilliams":
-            base = cjwe(c1, c2, budget=budget)
-            expected = {
-                "first": lambda: cjwe(c1.dual(), c2, budget=budget),
-                "second": lambda: cjwe(c1, c2.dual(), budget=budget),
-                "both": lambda: cjwe(c1.dual(), c2.dual(), budget=budget),
-            }
-            transform = macwilliams_transform
-        else:
-            base = avg_cjwe_bruteforce(c1, c2, budget=budget)
-            expected = {
-                "first": lambda: avg_cjwe_bruteforce(c1.dual(), c2, budget=budget),
-                "second": lambda: avg_cjwe_bruteforce(c1, c2.dual(), budget=budget),
-                "both": lambda: avg_cjwe_bruteforce(c1.dual(), c2.dual(), budget=budget),
-            }
-            transform = avg_macwilliams
+        base = enumerator(c1, c2, budget=budget)
         verdicts = {}
         for variant in variants:
-            got = transform(base, variant, sizes, budget=budget)
-            verdicts[variant] = got == expected[variant]()
+            got = macwilliams_transform(base, variant, (c1.size, c2.size), budget=budget)
+            d1 = c1 if variant == "second" else c1.dual()
+            d2 = c2 if variant == "first" else c2.dual()
+            verdicts[variant] = got == enumerator(d1, d2, budget=budget)
         check.add(
             f"q={q} n={n} {mode} #{i}",
             [c1, c2],
             all(verdicts.values()),
-            variants={k: v for k, v in verdicts.items()},
+            variants=verdicts,
         )
 
 
-def _sweep_average(check, q, n, trials, seed, budget):
-    spec = field_for_q(q)
-    est = monomial_group_order(spec, n) * q ** (2 * n) * n
-    pairs, mode = _pairs_for_cell(spec, n, est, trials, _cell_seed(seed, q, n))
-    for i, (c1, c2) in enumerate(pairs):
-        report = compare(
-            avg_cjwe_closedform(c1, c2, budget=budget),
-            avg_cjwe_bruteforce(c1, c2, budget=budget),
-        )
-        check.add(
-            f"q={q} n={n} {mode} #{i}",
-            [c1, c2],
-            report.agreed,
-            differences=report.to_doc()["differences"],
-        )
-
-
-def _sweep_gfold(check, q, n, g, trials, seed, budget):
+def _sweep_average(check, claim, q, n, g, trials, seed, budget):
+    """Closed form against brute force.  thm52 runs at the requested g with
+    its own draw order and tags g in each description; the pair claims run
+    at g = 2."""
+    if claim == "thm52":
+        draw, tag = _draw_tuple, f" g={g}"
+    else:
+        g, draw, tag = 2, _draw_pair, ""
     spec = field_for_q(q)
     est = monomial_group_order(spec, n) * q ** (g * n) * n
-    rng = random.Random(_cell_seed(seed, q, n))
-    if trials is None:
-        pool = _code_pool(spec, n)
-        if len(pool) ** g * est <= _EXHAUSTIVE_STEP_CAP:
-            tuples = list(itertools.product(pool, repeat=g))
-            mode = "exhaustive"
-        else:
-            tuples = [
-                tuple(
-                    random_code(spec, n, rng.randrange(n + 1), rng.randrange(2**32))
-                    for _ in range(g)
-                )
-                for _ in range(_AUTO_TRIALS)
-            ]
-            mode = f"random:{_AUTO_TRIALS}"
-    else:
-        tuples = [
-            tuple(
-                random_code(spec, n, rng.randrange(n + 1), rng.randrange(2**32))
-                for _ in range(g)
-            )
-            for _ in range(trials)
-        ]
-        mode = f"random:{trials}"
+    tuples, mode = _instances(spec, n, g, est, trials, _cell_seed(seed, q, n), draw)
     for i, codes in enumerate(tuples):
         report = compare(
-            avg_gfold_closedform(list(codes), budget=budget),
-            avg_gfold_bruteforce(list(codes), budget=budget),
+            avg_gfold_closedform(codes, budget=budget),
+            avg_gfold_bruteforce(codes, budget=budget),
         )
         check.add(
-            f"q={q} n={n} g={g} {mode} #{i}",
-            list(codes),
+            f"q={q} n={n}{tag} {mode} #{i}",
+            codes,
             report.agreed,
             differences=report.to_doc()["differences"],
         )
@@ -322,10 +273,8 @@ def run_claim(
     for qq, nn in cells:
         if claim in ("macwilliams", "thm33i", "thm33ii", "thm33iii"):
             _sweep_transform(check, claim, qq, nn, trials, seed, budget)
-        elif claim in ("yoshida", "thm43"):
-            _sweep_average(check, qq, nn, trials, seed, budget)
-        elif claim == "thm52":
-            _sweep_gfold(check, qq, nn, g, trials, seed, budget)
+        elif claim in ("yoshida", "thm43", "thm52"):
+            _sweep_average(check, claim, qq, nn, g, trials, seed, budget)
         elif claim == "lemma31":
             _sweep_lemma31(check, qq, nn, trials, seed, budget)
         elif claim == "lemma42":

@@ -165,6 +165,21 @@ def test_usage_error_exit_2():
     assert err.value.code == 2
 
 
+def test_negative_budget_is_a_usage_error(files, capsys):
+    p = files("rep2.code", REP2)
+    with pytest.raises(SystemExit) as err:
+        main(["cwe", p, "--budget", "-5"])
+    assert err.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+def test_oversized_field_exit_3(files, capsys):
+    huge = files("huge.code", "field p=2 m=10000000\nn=2\n")
+    rc = main(["cwe", huge])
+    assert rc == 3
+    assert "m = 10000000" in capsys.readouterr().err
+
+
 def test_out_flag_writes_file(files, capsys, tmp_path):
     p = files("rep2.code", REP2)
     target = tmp_path / "out.json"

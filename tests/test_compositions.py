@@ -13,8 +13,6 @@ from weightenum import (
     field_for_q,
     gcomposition,
     iter_compositions,
-    prepend,
-    project_tuple,
 )
 
 F2 = FieldSpec(2, 1)
@@ -60,15 +58,6 @@ def test_marginals_match_compositions():
     gp = gcomposition(F3, words)
     for j, w in enumerate(words):
         assert gp.marginal(j) == composition(F3, w)
-    assert gp.drop_first().counts == bicomposition(F3, words[1], words[2]).counts
-
-
-def test_tuple_calculus():
-    assert project_tuple(("x", "y", "z"), 0) == ("y", "z")
-    assert prepend("w", ("y", "z")) == ("w", "y", "z")
-    assert project_tuple(prepend("w", ("y", "z")), 0) == ("y", "z")
-    with pytest.raises(IndexError):
-        project_tuple((1, 2), 2)
 
 
 def test_profile_validation():
@@ -98,12 +87,8 @@ def test_census_totals_and_b_view():
     cen = census([c1, c2])
     assert cen.total() == c1.size * c2.size
     eta = bicomposition(F3, (1, 1), (1, 2))
-    r, s = eta.marginal(0), eta.marginal(1)
-    assert cen.b_count(r, s, eta) == cen.count(eta) > 0
-    wrong_r = composition(F3, (0, 0))
-    assert cen.b_count(wrong_r, s, eta) == 0
-    with pytest.raises(ValueError):
-        census([c1]).b_count(r, s, eta)
+    assert cen.count(eta) == cen.count(eta.counts) == 2  # (u, v) and (u, 2v)
+    assert cen.count(bicomposition(F3, (1, 1), (1, 1))) == 0
 
 
 def test_census_consistency_with_code_pairs():

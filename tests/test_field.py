@@ -58,6 +58,11 @@ def test_rejects_bad_parameters():
         FieldSpec(2, 5)  # q = 32 over the cap
     with pytest.raises(CapacityError):
         FieldSpec(5, 2)  # q = 25 over the cap
+    # p and m are bounded before p**m or a primality test runs on them
+    with pytest.raises(CapacityError, match="p = 2, m = 10000000"):
+        FieldSpec(2, 10**7)
+    with pytest.raises(CapacityError, match="p = 10000000000000000000000000000057"):
+        FieldSpec(10**31 + 57, 1)
 
 
 def test_rejects_bad_polynomials():

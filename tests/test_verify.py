@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -108,3 +109,23 @@ def test_report_serialization_shape():
 def test_unknown_claim():
     with pytest.raises(ValueError):
         run_claim("lemma99", q=2, n=2)
+
+
+@pytest.mark.parametrize(
+    "claim,kwargs,digest",
+    [
+        ("thm52", dict(q=2, n=3, seed=0),
+         "e459fe242842cd6290659b471271b9d0986c4a966618e08da9b70d6ed03800bf"),
+        ("thm52", dict(q=3, n=2, g=2, trials=3, seed=1),
+         "1aac539f4446dd2cfac46e2e80cae67dc2f351b9b3d192625c6d11ecbb4b8b98"),
+        ("thm43", dict(q=3, n=2, trials=3, seed=1),
+         "f6c1594bb74570ca098f112288e6ac4d4da7484ce56edc94ae400a0866077abf"),
+        ("thm33iii", dict(q=3, n=2, trials=2, seed=1),
+         "a256abc3db1b5f8de6b941dfb99fead6af40917a819399878be1f2bb83623457"),
+    ],
+)
+def test_frozen_draw_orders(claim, kwargs, digest):
+    # Pair claims draw k1, k2, seed1, seed2; thm52 draws k, seed per code at
+    # every g, g = 2 included.  Reports must stay byte-identical.
+    text = run_claim(claim, **kwargs).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
