@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from .compositions import (
     census,
     composition,
     count_profiles,
-    iter_compositions,
     tail_indices,
 )
 from .polynomials import EnumeratorPolynomial, macwilliams_transform
@@ -96,13 +96,20 @@ def avg_cjwe_bruteforce(
 def avg_gfold_closedform(
     codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET
 ) -> EnumeratorPolynomial:
-    """Closed-form average of g codes: iterate over fold-g profiles, reduce
-    each to the composition of the first coordinate and the fold-(g-1)
-    profile of the rest, and weight x^eta by
+    """Closed-form average of g codes.  Read a fold-g exponent eta as a
+    table with q rows z (the first coordinate) and q^(g-1) columns b (the
+    fold-(g-1) cell of the rest), eta_{z,b} at cell z * q^(g-1) + b.  Its
+    row sums s1 are a composition of the first code, its column sums tail a
+    profile of the rest, and x^eta weighs
 
         A_{s1} * A_tail * prod_b mult(tail_b; column_b(eta)) / mult(n; s1)
 
-    where column b collects the q cells (z, b) over the first coordinate."""
+    with A the census counts (for g = 1 the tail census is {(n,): 1}).  The
+    weight is nonzero exactly when both counts are, so the walk runs over
+    the two census supports: for each pair (s1, tail) it fills only the
+    tables with those margins, column by column within the row capacity
+    left, skipping empty rows and columns, and carries the product of
+    column multinomials down.  Every table reached is a term."""
     if not codes:
         raise ValueError("need at least one code")
     spec = codes[0].spec
@@ -113,35 +120,63 @@ def avg_gfold_closedform(
     g = len(codes)
     ncells = q**g
     tail_cells = q ** (g - 1)
-    profile_count = math.comb(n + ncells - 1, ncells - 1)
-    check_budget(profile_count * ncells, budget, "closed-form average")
-
     cen1 = census([codes[0]], budget=budget).counts
     if g == 1:
         tail_counts = {(n,): 1}
     else:
         tail_counts = census(codes[1:], budget=budget).counts
+    # Tables with different row sums are disjoint, so the tables with column
+    # sums tail number at most the free fillings of its columns.
+    tables = sum(
+        math.prod(math.comb(t + q - 1, q - 1) for t in tail if t) for tail in tail_counts
+    )
+    check_budget(tables * ncells, budget, "closed-form average")
 
     terms: dict[tuple[int, ...], Fraction] = {}
-    for eta in iter_compositions(n, ncells):
-        s1 = [0] * q
-        tail = [0] * tail_cells
-        for idx, e in enumerate(eta):
-            s1[idx // tail_cells] += e
-            tail[idx % tail_cells] += e
-        a1 = cen1.get(tuple(s1), 0)
-        if not a1:
-            continue
-        a_tail = tail_counts.get(tuple(tail), 0)
-        if not a_tail:
-            continue
-        num = 1
-        for b in range(tail_cells):
-            num *= multinomial(tail[b], [eta[z * tail_cells + b] for z in range(q)])
-        coef = Fraction(a1 * a_tail * num, multinomial(n, s1))
-        if coef:
-            terms[eta] = coef
+    for s1, a1 in cen1.items():
+        rows = [z for z in range(q) if s1[z]]
+        row_sums = [s1[z] for z in rows]
+        offsets = [z * tail_cells for z in rows]
+        denom = multinomial(n, s1)
+        for tail, a_tail in tail_counts.items():
+            cols = [b for b in range(tail_cells) if tail[b]]
+            for table, num in _margin_tables(row_sums, [tail[b] for b in cols]):
+                eta = [0] * ncells
+                for b, column in zip(cols, table):
+                    for off, e in zip(offsets, column):
+                        eta[off + b] = e
+                terms[tuple(eta)] = Fraction(a1 * a_tail * num, denom)
     return EnumeratorPolynomial(spec, g, n, terms)
+
+
+def _margin_tables(row_sums, col_sums):
+    """Every non-negative integer table with these positive row and column
+    sums (equal totals), as (columns, prod_b mult(col_sums[b]; column b)).
+    Depth first, one column at a time; each column is a composition of its
+    sum capped by the row capacity left, so every branch completes, and the
+    last column takes what is left."""
+    last = len(col_sums) - 1
+    stack = [(0, tuple(row_sums), (), 1)]
+    while stack:
+        j, left, columns, num = stack.pop()
+        if j == last:
+            yield columns + (left,), num * multinomial(col_sums[j], left)
+            continue
+        for column in _capped_compositions(col_sums[j], left):
+            rest = tuple(map(operator.sub, left, column))
+            stack.append((j + 1, rest, columns + (column,), num * multinomial(col_sums[j], column)))
+
+
+def _capped_compositions(total: int, caps):
+    """Tuples of len(caps) parts summing to total with 0 <= part_i <= caps[i],
+    given sum(caps) >= total."""
+    if len(caps) == 1:
+        yield (total,)
+        return
+    room = sum(caps) - caps[0]
+    for first in range(max(0, total - room), min(total, caps[0]) + 1):
+        for rest in _capped_compositions(total - first, caps[1:]):
+            yield (first,) + rest
 
 
 def avg_cjwe_closedform(

@@ -88,13 +88,11 @@ def gcomposition(spec: FieldSpec, words) -> CompositionProfile:
 
 def iter_compositions(total: int, cells: int):
     """All tuples of `cells` non-negative integers summing to `total`,
-    in lexicographic order (stars and bars)."""
-    if cells == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in iter_compositions(total - first, cells - 1):
-            yield (first,) + rest
+    in lexicographic order (stars and bars).  The cells - 1 bar positions
+    come in lexicographic order, and the part sizes between them inherit it."""
+    end = total + cells - 1
+    for bars in itertools.combinations(range(end), cells - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
 
 
 @dataclass

@@ -233,6 +233,8 @@ def field_for_q(q: int, defining_poly=None) -> FieldSpec:
     """Build the field of order q, factoring q as p^m."""
     if q < 2:
         raise ValueError(f"q = {q} is not a prime power")
+    if q > MAX_FIELD_SIZE:  # before the trial division, which takes time linear in q
+        raise CapacityError(f"q = {q} exceeds the supported maximum {MAX_FIELD_SIZE}")
     p = next((d for d in range(2, q + 1) if q % d == 0), q)
     m, t = 0, q
     while t % p == 0:

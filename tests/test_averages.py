@@ -1,9 +1,13 @@
+import hashlib
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from weightenum import (
+    CapacityError,
     FieldSpec,
     LinearCode,
     MonomialMatrix,
@@ -21,6 +25,7 @@ from weightenum import (
     monomial_group,
     monomial_group_order,
     multinomial,
+    random_code,
 )
 
 from helpers import factorial_multinomial
@@ -134,6 +139,49 @@ def test_gfold_closed_examples():
     assert triple == avg_gfold_bruteforce([REP2, zero2, zero2])
     zeros = avg_gfold_closedform([zero2, zero2, zero2])
     assert zeros.terms == {(2, 0, 0, 0, 0, 0, 0, 0): 1}
+
+
+def _seeded_codes(q, g, n, seed):
+    spec = field_for_q(q)
+    rng = random.Random(seed)
+    return [random_code(spec, n, rng.randrange(1, n + 1), rng.randrange(2**32)) for _ in range(g)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_closedform_mass_every_q(q, g):
+    n = random.Random(q * 10 + g).randint(1, 3 if q**g <= 64 else 2 if q**g <= 729 else 1)
+    codes = _seeded_codes(q, g, n, q * 10 + g)
+    avg = avg_gfold_closedform(codes)
+    assert avg.evaluate_at_ones() == math.prod(c.size for c in codes)
+
+
+@pytest.mark.parametrize(
+    "q,g,n,seed,digest",
+    [
+        (3, 2, 3, 1, "739650883f4ce6e8e95e4248596323c869e7cfab445412dce2df6d44ce47df54"),
+        (3, 3, 3, 2, "174520ab1486539c2c89bc0c4ffd5674ff70ae9e9b74b232b4e0ddc6c0cd7476"),
+        (4, 2, 3, 3, "bbe0020568f205e9602e7b25ba2777db04b2b0c2831c6b942211ec463a290851"),
+        (4, 3, 2, 4, "362a3c977501351e2030bcbc9fecf4db8b3efb8bfa567470857fafff5788e400"),
+        (5, 2, 3, 5, "19cd3280c74e27c8efa8c7c3964aab3f51289fd753d59f6264fcf4450f257ced"),
+        (5, 3, 2, 6, "dee99b892ea59abc468915841ec851f59710653f61f57d1b81ec41097c749d32"),
+    ],
+)
+def test_closedform_frozen_digests(q, g, n, seed, digest):
+    # Recorded from the dense walk over every composition of n into q^g
+    # cells.  The three g = 3 tuples differ from brute force (q > 2), so
+    # this also pins the reported divergences.
+    text = avg_gfold_closedform(_seeded_codes(q, g, n, seed)).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_closedform_budget_counts_tables():
+    f9 = field_for_q(9)
+    lines = [LinearCode(f9, 2, [(1, a)]) for a in (1, 2, 5)]
+    assert avg_gfold_closedform(lines).evaluate_at_ones() == 729
+    full = LinearCode(f9, 2, [(1, 0), (0, 1)])
+    with pytest.raises(CapacityError):
+        avg_gfold_closedform([full, full, full])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

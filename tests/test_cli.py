@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ REP3 = "field p=2 m=1\nn=3\ngen 1 1 1\n"
 SPAN3 = "field p=3 m=1\nn=2\ngen 1 1\n"
 ZERO3 = "field p=3 m=1\nn=2\n"
 FULL2 = "field p=2 m=1\nn=2\ngen 1 0\ngen 0 1\n"
+LINE11 = "field p=11 m=1\nn=1\ngen 1\n"
 
 
 @pytest.fixture
@@ -83,6 +85,14 @@ def test_avg_methods(files, capsys):
     rc, closed = run(capsys, "avg", "--method", "closed", p1, p2)
     assert rc == 0
     assert {t["coef"] for t in json.loads(closed)["terms"]} == {"1/1"}
+
+
+def test_avg_closed_at_large_q_cubed(files, capsys):
+    # 11^3 = 1331 cells; the closed form must not recurse once per cell
+    p = files("line11.code", LINE11)
+    rc, out = run(capsys, "avg", "--method", "closed", p, p, p)
+    assert rc == 0
+    assert len(json.loads(out)["terms"]) == 11**3
 
 
 def test_avg_single_path_full_space(files, capsys):
@@ -178,6 +188,14 @@ def test_oversized_field_exit_3(files, capsys):
     rc = main(["cwe", huge])
     assert rc == 3
     assert "m = 10000000" in capsys.readouterr().err
+
+
+def test_huge_q_exit_3_at_once(capsys):
+    start = time.perf_counter()
+    rc = main(["verify", "macwilliams", "--q", "100000007", "--n", "1"])
+    assert rc == 3
+    assert time.perf_counter() - start < 2.0
+    assert "q = 100000007" in capsys.readouterr().err
 
 
 def test_out_flag_writes_file(files, capsys, tmp_path):

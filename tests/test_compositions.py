@@ -99,7 +99,7 @@ def test_census_consistency_with_code_pairs():
             assert cen.count(composition(F2, word)) >= 1
 
 
-@pytest.mark.parametrize("total,cells", [(0, 1), (3, 2), (2, 4), (4, 3)])
+@pytest.mark.parametrize("total,cells", [(0, 1), (3, 2), (2, 4), (4, 3), (1, 2000)])
 def test_iter_compositions(total, cells):
     seen = list(iter_compositions(total, cells))
     assert len(seen) == math.comb(total + cells - 1, cells - 1)

@@ -136,6 +136,8 @@ def test_field_for_q():
         field_for_q(12)
     with pytest.raises(ValueError):
         field_for_q(1)
+    with pytest.raises(CapacityError):  # refused before factoring q
+        field_for_q(10**18 + 9)
 
 
 def test_is_prime():
