@@ -34,10 +34,8 @@ from .codes import (
 from .compositions import (
     Census,
     CompositionProfile,
-    bicomposition,
     census,
     composition,
-    gcomposition,
     iter_compositions,
 )
 from .polynomials import (

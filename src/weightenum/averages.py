@@ -2,6 +2,10 @@
 
 The definitional route averages the joint enumerator of (C1*M, C2, ..., Cg)
 over all (q-1)^n * n! monomial matrices M and is the ground truth here.
+Since (u*M)_i = diag[i] * u[perm[i]], it tallies the images of every pair
+(M, u): the permuted words over every permutation, then their scalings by
+every diagonal, each distinct image carrying the number of pairs that give
+it.  Every M is counted; no orbit or transitivity theorem is used.
 The closed-form route evaluates a multinomial-ratio expression driven only
 by the per-code composition censuses.  The two agree for binary codes; for
 q > 2 they can differ, and the comparator makes any divergence a
@@ -51,7 +55,12 @@ def avg_gfold_bruteforce(
     codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET
 ) -> EnumeratorPolynomial:
     """Definitional average: the monomial group acts on the first code only,
-    every other code stays fixed."""
+    every other code stays fixed.  Every pair (M, u), u in the first code,
+    is tallied by its image v = u*M: stage 1 counts the permuted words over
+    every (perm, u), stage 2 scales each by every diagonal, adding its
+    count to m(v), and stage 3 profiles each distinct v once against every
+    tail with weight m(v).  The m(v) sum to |G| * |C1|; each stage checks
+    its own step estimate before it runs."""
     if not codes:
         raise ValueError("need at least one code")
     spec = codes[0].spec
@@ -60,26 +69,30 @@ def avg_gfold_bruteforce(
         raise ValueError("codes must share field and length")
     q = spec.q
     g = len(codes)
-    group = monomial_group_order(spec, n)
-    pair_count = 1
-    for c in codes:
-        pair_count *= c.size
-    check_budget(group * pair_count * n, budget, "brute-force average")
-
-    mul = spec.mul_table
+    what = "brute-force average"
+    check_budget(math.factorial(n) * codes[0].size * n, budget, what)
     words1 = codes[0].codeword_list(budget=budget)
+    permuted: dict[tuple[int, ...], int] = {}
+    for perm in itertools.permutations(range(n)):
+        for u in words1:
+            w = tuple(map(u.__getitem__, perm))
+            permuted[w] = permuted.get(w, 0) + 1
+
+    check_budget((q - 1) ** n * len(permuted) * n, budget, what)
+    # Multiplication rows of the nonzero scalars, in first-coordinate cell offsets.
     stride = q ** (g - 1)
+    scalars = [[x * stride for x in row] for row in spec.mul_table[1:]]
+    images: dict[tuple[int, ...], int] = {}
+    for diag in itertools.product(scalars, repeat=n):
+        for w, m in permuted.items():
+            v = tuple(map(operator.getitem, diag, w))
+            images[v] = images.get(v, 0) + m
+
+    tail_count = math.prod(c.size for c in codes[1:])
+    check_budget(len(images) * tail_count * n, budget, what)
     tails = tail_indices([c.codeword_list(budget=budget) for c in codes[1:]], q, n)
-    positions = range(n)
-    # Every image u*M of a first-code word, diagonals outer, permutations
-    # inner, as per-position cell offsets of the first coordinate.
-    images = (
-        [rows[i][u[perm[i]]] * stride for i in positions]
-        for rows in ([mul[d] for d in diag] for diag in itertools.product(range(1, q), repeat=n))
-        for perm in itertools.permutations(range(n))
-        for u in words1
-    )
-    counts = count_profiles(images, tails, q**g)
+    counts = count_profiles(images.items(), tails, q**g)
+    group = monomial_group_order(spec, n)
     terms = {e: Fraction(c, group) for e, c in counts.items()}
     return EnumeratorPolynomial(spec, g, n, terms)
 

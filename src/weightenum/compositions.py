@@ -40,50 +40,12 @@ class CompositionProfile:
     def n(self) -> int:
         return sum(self.counts)
 
-    def marginal(self, j: int) -> CompositionProfile:
-        """Fold-1 profile of coordinate j (0-based)."""
-        if not (0 <= j < self.fold):
-            raise IndexError(f"coordinate {j} out of range for fold {self.fold}")
-        out = [0] * self.q
-        div = self.q ** (self.fold - 1 - j)
-        for idx, c in enumerate(self.counts):
-            out[(idx // div) % self.q] += c
-        return CompositionProfile(self.q, 1, tuple(out))
-
 
 def composition(spec: FieldSpec, word) -> CompositionProfile:
     counts = [0] * spec.q
     for e in word:
         counts[e] += 1
     return CompositionProfile(spec.q, 1, tuple(counts))
-
-
-def bicomposition(spec: FieldSpec, u, v) -> CompositionProfile:
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    q = spec.q
-    counts = [0] * (q * q)
-    for a, b in zip(u, v):
-        counts[a * q + b] += 1
-    return CompositionProfile(q, 2, tuple(counts))
-
-
-def gcomposition(spec: FieldSpec, words) -> CompositionProfile:
-    words = list(words)
-    if not words:
-        raise ValueError("need at least one word")
-    n = len(words[0])
-    if any(len(w) != n for w in words):
-        raise ValueError("words must share one length")
-    q = spec.q
-    g = len(words)
-    counts = [0] * (q**g)
-    for i in range(n):
-        idx = 0
-        for w in words:
-            idx = idx * q + w[i]
-        counts[idx] += 1
-    return CompositionProfile(q, g, tuple(counts))
 
 
 def iter_compositions(total: int, cells: int):
@@ -126,17 +88,19 @@ def tail_indices(word_lists, q: int, n: int) -> list[list[int]]:
 
 
 def count_profiles(heads, tails, ncells: int) -> dict[tuple[int, ...], int]:
-    """Profile counts of all (head, tail) pairs, heads outer: position i of a
-    pair lies in cell head[i] + tail[i].  The package's one profile loop."""
+    """Weighted profile counts of all (head, tail) pairs, heads outer: heads
+    are (head, weight) pairs, position i of a pair lies in cell head[i] +
+    tail[i], and each pair adds its head's weight.  The package's one
+    profile loop."""
     counts: dict[tuple[int, ...], int] = {}
-    for head in heads:
+    for head, weight in heads:
         positions = range(len(head))
         for tail in tails:
             key = [0] * ncells
             for i in positions:
                 key[head[i] + tail[i]] += 1
             key_t = tuple(key)
-            counts[key_t] = counts.get(key_t, 0) + 1
+            counts[key_t] = counts.get(key_t, 0) + weight
     return counts
 
 
@@ -156,6 +120,6 @@ def census(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> Census:
     g = len(codes)
     word_lists = [c.codeword_list(budget=budget) for c in codes]
     stride = q ** (g - 1)
-    heads = [[a * stride for a in w] for w in word_lists[0]]
+    heads = [([a * stride for a in w], 1) for w in word_lists[0]]
     counts = count_profiles(heads, tail_indices(word_lists[1:], q, n), q**g)
     return Census(q, g, n, counts)

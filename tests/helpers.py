@@ -2,16 +2,17 @@
 
 These deliberately avoid the code paths they check: the dual oracle scans
 all q^n vectors instead of doing Gaussian elimination, subspace counts come
-from the Gaussian binomial product formula, and multinomials from raw
-factorials.
+from the Gaussian binomial product formula, multinomials from raw
+factorials, and the group average visits one monomial matrix at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
-from weightenum import FieldSpec, LinearCode
+from weightenum import FieldSpec, LinearCode, monomial_group, monomial_group_order
 
 
 def brute_dual_words(code: LinearCode) -> set[tuple[int, ...]]:
@@ -56,6 +57,36 @@ def factorial_multinomial(n: int, parts) -> int:
     for p in parts:
         out //= math.factorial(p)
     return out
+
+
+def literal_group_average(codes) -> dict[tuple[int, ...], Fraction]:
+    """Terms of the average joint enumerator of (C1*M, C2, ..., Cg) over the
+    monomial group: every M applied to every first-code word with M.apply,
+    and each profile counted here, keyed by its sorted cell list."""
+    spec, n = codes[0].spec, codes[0].n
+    q = spec.q
+    rest = list(itertools.product(*(c.codeword_list() for c in codes[1:])))
+    counts: dict[tuple[int, ...], int] = {}
+    for M in monomial_group(spec, n):
+        for u in codes[0].codeword_list():
+            image = M.apply(u)
+            for tail in rest:
+                cells = []
+                for i in range(n):
+                    cell = 0
+                    for word in (image,) + tail:
+                        cell = cell * q + word[i]
+                    cells.append(cell)
+                key = tuple(sorted(cells))
+                counts[key] = counts.get(key, 0) + 1
+    order = monomial_group_order(spec, n)
+    terms = {}
+    for cells, c in counts.items():
+        exp = [0] * q ** len(codes)
+        for cell in cells:
+            exp[cell] += 1
+        terms[tuple(exp)] = Fraction(c, order)
+    return terms
 
 
 def make_code(spec: FieldSpec, n: int, rows) -> LinearCode:

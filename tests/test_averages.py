@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from weightenum import (
     random_code,
 )
 
-from helpers import factorial_multinomial
+from helpers import factorial_multinomial, literal_group_average
 
 F2 = FieldSpec(2, 1)
 F3 = FieldSpec(3, 1)
@@ -182,6 +183,71 @@ def test_closedform_budget_counts_tables():
     full = LinearCode(f9, 2, [(1, 0), (0, 1)])
     with pytest.raises(CapacityError):
         avg_gfold_closedform([full, full, full])
+
+
+@pytest.mark.parametrize(
+    "q,g,n,seed,digest",
+    [
+        (3, 1, 4, 1, "89c638bd9ce2c05be9e83c6f28439a4d7b4bfc591ad9120860a36321abf02f57"),
+        (3, 2, 6, 2, "b572cf1ce3079dc0db95e77db6cbc06cdc1ba20c7bc882f2699aa1dd6ca57d66"),
+        (4, 2, 3, 3, "bbe0020568f205e9602e7b25ba2777db04b2b0c2831c6b942211ec463a290851"),
+        (5, 3, 2, 5, "53640e9a5febc333da6cb44729f9ba4f8c7b91ae938d008ee1108b0748a1ffd6"),
+        (7, 2, 2, 6, "ce895ada933bc6b4ab704be459b13d6daaf126c4ba8d271186fd3726e9d073cf"),
+        (8, 3, 1, 7, "db8956dd245d0962272f16e8c59932a3a493b35e425fe5bfde9d24371365be5e"),
+        (8, 2, 2, 7, "4f043c50717cd8baa11b3244134a258a785ea572ba1de28ac43a8c425574d4e2"),
+        (9, 2, 2, 8, "b3674306b4f8e3c941eb3bbf3d5493606e35b1918bbadf2da5d95aec24c3f5ab"),
+        (9, 1, 2, 9, "04f88fd3990eb449fc2c260471a723cb541f86f7aec2eb4392934856487c4a48"),
+    ],
+)
+def test_bruteforce_frozen_digests(q, g, n, seed, digest):
+    # Recorded from the sum that applied every monomial matrix to every
+    # first-code word in turn.  (3, 2, 6, 2) has the shape of the heaviest
+    # average-workload pairs.
+    text = avg_gfold_bruteforce(_seeded_codes(q, g, n, seed)).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_bruteforce_matches_literal_group_walk(q, g):
+    # The longest n <= 3, over four seeds, whose group walk stays small.
+    for n, seed in itertools.product((3, 2, 1), range(4)):
+        codes = _seeded_codes(q, g, n, q * 100 + g * 10 + seed)
+        walk = monomial_group_order(codes[0].spec, n) * math.prod(c.size for c in codes)
+        if walk <= 20000:
+            break
+    assert avg_gfold_bruteforce(codes).terms == literal_group_average(codes)
+
+
+def test_bruteforce_budget_at_its_limit():
+    codes = _seeded_codes(3, 2, 3, 7)
+    c1, n = codes[0], codes[0].n
+    group = monomial_group_order(c1.spec, n)
+    # Nothing the single group * pairs * n estimate allowed is refused.
+    old = group * math.prod(c.size for c in codes) * n
+    assert avg_gfold_bruteforce(codes, budget=old) == avg_gfold_bruteforce(codes)
+    # The binding estimate is the largest of the three stage estimates.
+    words = c1.codeword_list()
+    perms = list(itertools.permutations(range(n)))
+    permuted = {tuple(u[p] for p in perm) for u in words for perm in perms}
+    images = {M.apply(u) for M in monomial_group(c1.spec, n) for u in words}
+    stages = (
+        len(perms) * c1.size * n,
+        (c1.spec.q - 1) ** n * len(permuted) * n,
+        len(images) * codes[1].size * n,
+    )
+    assert max(stages) <= old
+    avg_gfold_bruteforce(codes, budget=max(stages))
+    with pytest.raises(CapacityError):
+        avg_gfold_bruteforce(codes, budget=max(stages) - 1)
+
+
+def test_bruteforce_refuses_before_tallying():
+    rep12 = LinearCode(F2, 12, [(1,) * 12])
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        avg_gfold_bruteforce([rep12, rep12])
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -153,6 +157,19 @@ def test_random_code_command(files, capsys):
     assert out == "field p=2 m=1\nn=3\n"
     rc, out = run(capsys, "random-code", "--q", "2", "--n", "2", "--k", "2")
     assert out == "field p=2 m=1\nn=2\ngen 1 0\ngen 0 1\n"
+
+
+def test_python_dash_m_entry_point(capsys):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = ["random-code", "--q", "2", "--n", "3", "--k", "1"]
+    result = subprocess.run(
+        [sys.executable, "-m", "weightenum", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("field p=2 m=1\nn=3\ngen ")
+    assert result.stdout == run(capsys, *argv)[1]
 
 
 def test_parse_error_exit_2(files, capsys):
