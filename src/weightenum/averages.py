@@ -94,7 +94,7 @@ def avg_gfold_bruteforce(
     counts = count_profiles(images.items(), tails, q**g)
     group = monomial_group_order(spec, n)
     terms = {e: Fraction(c, group) for e, c in counts.items()}
-    return EnumeratorPolynomial(spec, g, n, terms)
+    return EnumeratorPolynomial._from_kernel(spec, g, n, terms)
 
 
 def avg_cjwe_bruteforce(
@@ -159,7 +159,7 @@ def avg_gfold_closedform(
                     for off, e in zip(offsets, column):
                         eta[off + b] = e
                 terms[tuple(eta)] = Fraction(a1 * a_tail * num, denom)
-    return EnumeratorPolynomial(spec, g, n, terms)
+    return EnumeratorPolynomial._from_kernel(spec, g, n, terms)
 
 
 def _margin_tables(row_sums, col_sums):
@@ -248,14 +248,11 @@ class AverageReport:
 def compare(left: EnumeratorPolynomial, right: EnumeratorPolynomial) -> AverageReport:
     if (left.spec.q, left.fold, left.n) != (right.spec.q, right.fold, right.n):
         raise ValueError("cannot compare polynomials of different shape")
-    exps = sorted(set(left.terms) | set(right.terms))
-    zero = Fraction(0)
-    diffs = []
-    for e in exps:
-        lv = left.terms.get(e, zero)
-        rv = right.terms.get(e, zero)
-        if lv != rv:
-            diffs.append((e, lv, rv))
+    # Only the exponents whose coefficients differ are sorted and reported.
+    lt, rt, zero = left.terms, right.terms, Fraction(0)
+    exps = [e for e, c in lt.items() if rt.get(e, zero) != c]
+    exps += [e for e, c in rt.items() if e not in lt and c]
+    diffs = [(e, lt.get(e, zero), rt.get(e, zero)) for e in sorted(exps)]
     return AverageReport(left, right, diffs, not diffs)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .field import FieldElement, FieldSpec, is_prime
 
-# -- raw coordinate-tuple helpers, shared with the transform hot loops -------
+# -- raw coordinate-tuple helpers ---------------------------------------------
 
 
 def _vec_zero(p: int) -> tuple:

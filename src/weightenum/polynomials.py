@@ -7,10 +7,13 @@ rational coefficient; zero coefficients are never stored.
 
 The character-sum transforms substitute each variable by a linear
 combination of variables weighted by values of the additive character,
-expand exactly, and rescale by the inverse code sizes.  The expansion runs
-over integer coordinate tuples in Q(zeta_p) and only converts to rationals
-at the end; a non-rational residue is mathematically impossible and is
-reported as an internal error.
+expand exactly, and rescale by the inverse code sizes.  Every transform is
+a composition of single-slot passes, one per dualized slot: chi(w2*a +
+w1*b) = chi(w2*a) * chi(w1*b), so the "both" character matrix is the
+tensor product of the two one-slot matrices.  A pass expands with integer
+coefficients (in Z[zeta_p] for odd p), checks its own step estimate before
+it runs, and must leave rational coefficients; a non-rational residue is
+mathematically impossible and is reported as an internal error.
 
 Serialized form (canonical, bit-exact round trip):
 
@@ -24,12 +27,13 @@ names variables x[i] / x[i,j] / x[i1,...,ig] by element indices.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from fractions import Fraction
 
-from .capacity import DEFAULT_BUDGET, check_budget
+from .capacity import DEFAULT_BUDGET, CapacityError, check_budget
 from .codes import LinearCode
 from .compositions import census
-from .cyclotomic import _vec_add, _vec_is_rational, _vec_mul, _vec_scale, _zeta_vec
 from .field import FieldSpec, field_for_q
 
 TRANSFORM_VARIANTS = ("first", "second", "both")
@@ -56,6 +60,13 @@ class EnumeratorPolynomial:
         self.fold = fold
         self.n = n
         self.terms = clean
+
+    @classmethod
+    def _from_kernel(cls, spec: FieldSpec, fold: int, n: int, terms: dict) -> EnumeratorPolynomial:
+        """Wrap kernel-built terms (valid exponent tuples -> nonzero Fractions) unchecked."""
+        self = cls.__new__(cls)
+        self.spec, self.fold, self.n, self.terms = spec, fold, n, terms
+        return self
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items())
@@ -177,55 +188,13 @@ def gfold_cjwe(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> Enum
     recording their fold-g composition profile, counted by the census."""
     cen = census(codes, budget=budget)
     terms = {e: Fraction(c) for e, c in cen.counts.items()}
-    return EnumeratorPolynomial(codes[0].spec, cen.fold, cen.n, terms)
+    return EnumeratorPolynomial._from_kernel(codes[0].spec, cen.fold, cen.n, terms)
 
 
 # -- character-sum transforms -----------------------------------------------------
 
-
-def _substitution(spec: FieldSpec, fold: int, which: str) -> list[list[tuple[int, int]]]:
-    """Per-variable substitution: for each cell, the (target cell, character
-    exponent) pairs of the weighted linear combination replacing it."""
-    q = spec.q
-    mul, add, a0 = spec.mul_table, spec.add_table, spec.alpha0_table
-    if fold == 1:
-        if which != "first":
-            raise ValueError("fold-1 polynomials only admit the 'first' transform")
-        return [[(w, a0[mul[w][alpha]]) for w in range(q)] for alpha in range(q)]
-    if fold != 2:
-        raise ValueError("transforms are defined for fold 1 and 2 polynomials")
-    table = []
-    for alpha in range(q):
-        for beta in range(q):
-            if which == "first":
-                row = [(w * q + beta, a0[mul[w][alpha]]) for w in range(q)]
-            elif which == "second":
-                row = [(alpha * q + w, a0[mul[beta][w]]) for w in range(q)]
-            elif which == "both":
-                row = [
-                    (w2 * q + w1, a0[add[mul[w2][alpha]][mul[w1][beta]]])
-                    for w2 in range(q)
-                    for w1 in range(q)
-                ]
-            else:
-                raise ValueError(f"unknown transform variant {which!r}")
-            table.append(row)
-    return table
-
-
-def _prefactor(which: str, sizes) -> Fraction:
-    sizes = tuple(sizes)
-    if which == "first":
-        return Fraction(1, sizes[0])
-    if which == "second":
-        if len(sizes) < 2:
-            raise ValueError("the 'second' transform needs both code sizes")
-        return Fraction(1, sizes[1])
-    if which == "both":
-        if len(sizes) < 2:
-            raise ValueError("the 'both' transform needs both code sizes")
-        return Fraction(1, sizes[0] * sizes[1])
-    raise ValueError(f"unknown transform variant {which!r}")
+# The slots each variant dualizes, in pass order: "both" is second after first.
+_SLOTS = {"first": (0,), "second": (1,), "both": (0, 1)}
 
 
 def macwilliams_transform(
@@ -236,101 +205,148 @@ def macwilliams_transform(
     budget: int = DEFAULT_BUDGET,
 ) -> EnumeratorPolynomial:
     """Character-sum substitution sending an enumerator to the enumerator of
-    the dualized pair, scaled by the inverse size of each dualized code.
+    the dualized tuple, scaled by the inverse size of each dualized code.
 
-    which selects the dualized slot: "first", "second" or "both".  sizes is
-    (|C1|,) or (|C1|, |C2|) of the codes the input enumerator was built from.
-    The exact expansion must cancel all irrational parts; a residue raises
-    RuntimeError since it can only mean an arithmetic bug.
+    which selects the dualized slots: "first" (slot 0), "second" (slot 1)
+    or "both" (slot 0, then slot 1).  sizes holds the sizes of the codes
+    the input was built from, up to the last dualized slot; any fold that
+    has that slot is accepted.  Coefficients are scaled to integers by their
+    common denominator, run through one _slot_pass per slot, and divided by
+    the denominator times the code sizes once at the end.  Exponents travel
+    packed one byte per cell and are unpacked once, at the end.
     """
-    spec = P.spec
+    slots = _SLOTS.get(which)
+    if slots is None:
+        raise ValueError(f"unknown transform variant {which!r}")
+    if slots[-1] >= P.fold:
+        raise ValueError("fold-1 polynomials only admit the 'first' transform")
+    sizes = tuple(sizes)
+    if len(sizes) <= slots[-1]:
+        raise ValueError(f"the {which!r} transform needs the size of code {slots[-1] + 1}")
+    if P.n > 255:  # code lengths are capped far lower; no code reaches this
+        raise CapacityError(f"transform packs exponents in bytes; degree {P.n} is over 255")
+    width, order = P.spec.q**P.fold, sys.byteorder
+    denom = math.lcm(*(c.denominator for c in P.terms.values()))
+    terms = {int.from_bytes(bytes(e), order): c.numerator * (denom // c.denominator)
+             for e, c in P.terms.items()}
+    for slot in slots:
+        terms = _slot_pass(P.spec, P.fold, P.n, terms, slot, budget)
+    denom *= math.prod(sizes[j] for j in slots)
+    out = {tuple(k.to_bytes(width, order)): Fraction(c, denom) for k, c in terms.items()}
+    return EnumeratorPolynomial._from_kernel(P.spec, P.fold, P.n, out)
+
+
+def _slot_pass(spec: FieldSpec, fold: int, n: int, terms: dict, slot: int, budget: int) -> dict:
+    """x_a -> sum_w chi(w * a_slot) x_{a with a_slot := w} on integer terms
+    keyed by exponents packed one byte per cell.  A fiber is the q cells
+    differing only in the slot coordinate; each linear form stays in its
+    fiber.  Cells are packed fiber after fiber here, so combining fibers is
+    integer addition; a term waits in the bucket of its next nonzero fiber,
+    where equal exponents merge and cancel early.  Each distinct fiber is
+    expanded once, from the cached fiber with its first nonzero exponent
+    lowered by one.  For odd p coefficients are coordinates in
+    Z[x]/(x^p - 1), onto Z[zeta_p], B bits each.  The estimate bounds the
+    products (fiber expansions, then each term's running product of fiber
+    image sizes) plus the q^g-cell unpacking of a bound on the output."""
     p, q = spec.p, spec.q
-    subst = _substitution(spec, P.fold, which)
-    width = len(subst[0])
-    check_budget(max(len(P.terms), 1) * width**P.n, budget, "enumerator transform")
+    ncells, stride = q**fold, q ** (fold - 1 - slot)
+    m = [math.comb(d + q - 1, q - 1) for d in range(n + 1)]
+    # m[a] * m[b] >= m[a + b]: each term costs m[n] or more, so refuse early.
+    check_budget(len(terms) * m[n], budget, "enumerator transform")
+    order, span, fbits, nfib = sys.byteorder, q * stride, 8 * q, ncells // q
+    fiber = (1 << fbits) - 1
 
-    ncells = q**P.fold
-    scalar = p == 2  # zeta_2 = -1: coordinates are plain integers
+    def permute(packed: dict, slices) -> dict:
+        # The last slot's fibers are already contiguous in the natural order.
+        return packed if stride == 1 else {
+            int.from_bytes(b"".join([raw[s] for s in slices]), order): c
+            for k, c in packed.items() for raw in (k.to_bytes(ncells, order),)}
 
-    if scalar:
-        zeta = lambda k: 1 if k % 2 == 0 else -1
-        cmul = lambda a, b: a * b
-        cadd = lambda a, b: a + b
+    def first(k):  # the index of k's first nonzero fiber, nfib for 0
+        return ((k & -k).bit_length() - 1) // fbits if k else nfib
+
+    packed = permute(terms, [slice(h + j, h + span, stride) for h in range(0, ncells, span)
+                             for j in range(stride)])
+    steps = images = 0
+    degree: dict = {}  # distinct fiber exponents, by degree
+    for k in packed:
+        size = 1
+        while k:
+            shift = fbits * first(k)
+            k ^= (part := (k >> shift) & fiber) << shift
+            if (d := degree.get(part)) is None:
+                d = degree[part] = sum(part.to_bytes(q, order))
+            size *= m[d]
+            steps += size
+        images += size
+    steps += sum(q * d * m[d - 1] for d in degree.values())
+    steps += min(images, math.comb(n + ncells - 1, ncells - 1)) * ncells
+    check_budget(steps, budget, "enumerator transform")
+
+    if p == 2:
+        zeta, reduce, value = (1, -1), int, int
     else:
-        zeta = lambda k: _zeta_vec(p, k)
-        cmul = lambda a, b: _vec_mul(p, a, b)
-        cadd = _vec_add
+        # Every coordinate stays below 2^(B-2) in size: sum|c| * q^n bounds it.
+        B = (sum(map(abs, terms.values())) * q**n).bit_length() + 2
+        half, mask, top = 1 << (B - 1), (1 << B) - 1, B * p
+        ones = sum(1 << (B * k) for k in range(p))
+        off, low = half * ones, (1 << top) - 1
+        zeta = [1 << (B * k) for k in range(p)]
 
-    # Linear form replacing each variable, as a sparse polynomial.
-    def one_hot(cell: int) -> tuple[int, ...]:
-        return tuple(1 if i == cell else 0 for i in range(ncells))
+        def reduce(v):
+            # Fold onto x^0..x^(p-1); 0 when all p coordinates agree (0 in Z[zeta_p]).
+            while (w := ((v + off) & low) - off) != v:
+                v = w + ((v - w) >> top)
+            return 0 if v == (((v + off) & mask) - half) * ones else v
 
-    linear = [
-        {one_hot(target): zeta(k) for target, k in subst[cell]}
-        for cell in range(ncells)
-    ]
+        def value(v):
+            # Rational exactly when coordinates 1..p-1 agree: then c_0 - c_1.
+            v = reduce(v)
+            if -half < (w := v - ((((v + off) >> B) & mask) - half) * ones) < half:
+                return w
+            raise RuntimeError("transform produced a non-rational coefficient; "
+                               "this indicates an arithmetic bug")
 
-    def poly_mul(A: dict, B: dict) -> dict:
-        out: dict = {}
-        for ea, ca in A.items():
-            for eb, cb in B.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = cmul(ca, cb)
-                if e in out:
-                    out[e] = cadd(out[e], c)
-                else:
-                    out[e] = c
-        return out
+    mul, a0 = spec.mul_table, spec.alpha0_table
+    forms = [[(1 << (8 * w), zeta[a0[mul[w][a]]]) for w in range(q)] for a in range(q)]
+    local = {0: {0: 1}}
 
-    power_cache: dict[tuple[int, int], dict] = {}
+    def expand(s):
+        chain = []
+        while s not in local:
+            a = ((s & -s).bit_length() - 1) // 8
+            chain.append((s, a))
+            s -= 1 << (8 * a)
+        img = local[s]
+        for s, a in reversed(chain):
+            prod: dict = {}
+            for k, x in img.items():
+                for k2, y in forms[a]:
+                    prod[k + k2] = prod.get(k + k2, 0) + x * y
+            img = local[s] = {k: r for k, x in prod.items() if (r := reduce(x))}
+        return img
 
-    def lin_pow(cell: int, e: int) -> dict:
-        key = (cell, e)
-        cached = power_cache.get(key)
-        if cached is not None:
-            return cached
-        if e == 1:
-            result = linear[cell]
-        else:
-            result = poly_mul(lin_pow(cell, e - 1), linear[cell])
-        power_cache[key] = result
-        return result
-
-    acc: dict[tuple[int, ...], object] = {}
-    unit_exp = (0,) * ncells
-    for exp, coef in P.terms.items():
-        factors = [(cell, e) for cell, e in enumerate(exp) if e]
-        if not factors:
-            prod = {unit_exp: 1 if scalar else _zeta_vec(p, 0)}
-        else:
-            prod = lin_pow(*factors[0])
-            for cell, e in factors[1:]:
-                prod = poly_mul(prod, lin_pow(cell, e))
-        if scalar:
-            for e_t, c_t in prod.items():
-                acc[e_t] = acc.get(e_t, 0) + coef * c_t
-        else:
-            for e_t, c_t in prod.items():
-                scaled = _vec_scale(c_t, coef)
-                prev = acc.get(e_t)
-                acc[e_t] = scaled if prev is None else _vec_add(prev, scaled)
-
-    factor = _prefactor(which, sizes)
-    out_terms: dict[tuple[int, ...], Fraction] = {}
-    for e_t, v in acc.items():
-        if scalar:
-            value = Fraction(v)
-        else:
-            if not _vec_is_rational(v):
-                raise RuntimeError(
-                    "transform produced a non-rational coefficient; "
-                    "this indicates an arithmetic bug"
-                )
-            value = Fraction(v[0])
-        value *= factor
-        if value:
-            out_terms[e_t] = value
-    return EnumeratorPolynomial(spec, P.fold, P.n, out_terms)
+    buckets: list = [{} for _ in range(nfib + 1)]
+    for k, c in packed.items():
+        buckets[first(k)][k] = c
+    placed: dict = {}
+    for i in range(nfib):
+        shift, later = fbits * i, -1 << (fbits * (i + 1))
+        for k, c in buckets[i].items():
+            if not (c := reduce(c)):
+                continue
+            part = k & (fiber << shift)
+            if (img := placed.get(part)) is None:
+                img = placed[part] = [(x << shift, y) for x, y in expand(part >> shift).items()]
+            rest = k ^ part
+            target = buckets[first(rest & later)]
+            get = target.get
+            for k2, y in img:
+                key = rest + k2
+                target[key] = get(key, 0) + c * y
+        buckets[i] = None
+    out = {k: v for k, c in buckets[nfib].items() if (v := value(c))}
+    return permute(out, [slice(h + a, h + span, q) for h in range(0, ncells, span) for a in range(q)])
 
 
 # -- substitutions ---------------------------------------------------------------

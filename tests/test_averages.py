@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from weightenum import (
+    AverageReport,
     CapacityError,
     FieldSpec,
     LinearCode,
@@ -119,6 +120,32 @@ def test_compare_difference_values():
     assert diffs[(0, 0, 0, 2, 0, 0, 0, 0, 0)] == (Fraction(1), Fraction(1, 2))
     assert diffs[(0, 0, 0, 0, 0, 0, 2, 0, 0)] == (Fraction(1), Fraction(1, 2))
     assert diffs[(0, 0, 0, 1, 0, 0, 1, 0, 0)] == (Fraction(0), Fraction(1))
+
+
+def _sorted_union_walk(left, right):
+    """The comparison walk before it skipped agreeing exponents: every
+    exponent of either side, sorted, kept where the coefficients differ."""
+    zero = Fraction(0)
+    diffs = []
+    for e in sorted(set(left.terms) | set(right.terms)):
+        lv, rv = left.terms.get(e, zero), right.terms.get(e, zero)
+        if lv != rv:
+            diffs.append((e, lv, rv))
+    return diffs
+
+
+def test_compare_matches_sorted_union_walk():
+    diverged = 0
+    for seed in range(8):
+        codes = _seeded_codes(3, 3, 2 + seed % 2, 500 + seed)
+        closed, brute = avg_gfold_closedform(codes), avg_gfold_bruteforce(codes)
+        for left, right in ((closed, brute), (brute, closed), (brute, brute)):
+            report = compare(left, right)
+            old = _sorted_union_walk(left, right)
+            assert report.differences == old
+            assert report.to_text() == AverageReport(left, right, old, not old).to_text()
+        diverged += not compare(closed, brute).agreed
+    assert diverged >= 2
 
 
 def test_gfold_brute_examples():

@@ -215,6 +215,17 @@ def test_huge_q_exit_3_at_once(capsys):
     assert "q = 100000007" in capsys.readouterr().err
 
 
+def test_large_transform_cell_ends_in_budget(capsys):
+    # Each transform pass checks its estimate, which counts the unpacking of
+    # its output, before it runs: the q = 16, n = 3 cell ends (here with a
+    # refusal) instead of spending minutes unpacking 256-cell exponents.
+    start = time.perf_counter()
+    rc = main(["verify", "macwilliams", "--q", "16", "--n", "3"])
+    assert rc in (0, 3)
+    assert time.perf_counter() - start < 5.0
+    capsys.readouterr()
+
+
 def test_out_flag_writes_file(files, capsys, tmp_path):
     p = files("rep2.code", REP2)
     target = tmp_path / "out.json"

@@ -1,21 +1,28 @@
+import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from weightenum import (
+    CapacityError,
     EnumeratorPolynomial,
     FieldSpec,
     LinearCode,
     all_codes,
+    avg_cjwe_bruteforce,
     census,
     cjwe,
     cwe,
     field_for_q,
     gfold_cjwe,
     macwilliams_transform,
+    random_code,
     specialize,
 )
+from weightenum.polynomials import TRANSFORM_VARIANTS
 
 F2 = FieldSpec(2, 1)
 F3 = FieldSpec(3, 1)
@@ -201,6 +208,163 @@ def test_transform_argument_validation():
         macwilliams_transform(cwe(REP2), "second", (2, 2))
     with pytest.raises(ValueError):
         macwilliams_transform(base, "both", (2,))
-    triple = gfold_cjwe([ZERO2, ZERO2, ZERO2])
-    with pytest.raises(ValueError):
-        macwilliams_transform(triple, "first", (1, 1))
+    # Any fold has slots 0 and 1: at g = 3 the passes dualize C1 and/or C2.
+    c1, c2, c3 = SPAN3, LinearCode(F3, 2, [(1, 2)]), LinearCode(F3, 2, [(0, 1)])
+    triple = gfold_cjwe([c1, c2, c3])
+    sizes = (c1.size, c2.size, c3.size)
+    assert macwilliams_transform(triple, "first", sizes) == gfold_cjwe([c1.dual(), c2, c3])
+    assert macwilliams_transform(triple, "second", sizes) == gfold_cjwe([c1, c2.dual(), c3])
+    assert macwilliams_transform(triple, "both", sizes) == gfold_cjwe([c1.dual(), c2.dual(), c3])
+
+
+# Recorded from the seed kernel, which expanded one q^g-term linear form
+# (q^2g terms for "both") per variable: (q, n, k1, k2, seed, averaged base,
+# SHA-256 of to_text() for first, second, both).
+_FROZEN_TRANSFORMS = [
+    (3, 3, 1, 2, 11, False, (
+        "52f5d6a1f537625637071d46f50e733f0c5987ef11f9ff94aa03784702504262",
+        "505f1db750b580740ce73f5f9892024c197ec5a44cd84081888cd18e48ab3e91",
+        "2d28cdf22bdd784971506371988d92ae1792a5a74232312960fd5641ca1fc28e")),
+    (3, 3, 1, 1, 12, True, (
+        "56e9ec8cd7190077c4768e8708cb3e9d1636e653c771374686136af860863dd1",
+        "b967e2079b787773fffbec91970c95ce59615d7fbf1e0f223000d8de892bd9f8",
+        "873d4677dcefe0b7ce14cfd4eff0907e77ff61324b207e057a1581efa3c4f24d")),
+    (4, 3, 1, 2, 13, False, (
+        "88f4921384a31e561b512050e8f0e5b8fc83e894eca5715ea1b21bba6bca01c9",
+        "73553d189ff6476732d84ca8a8cb1896ae428e475de0883144cbbee6811066dd",
+        "050ad5ae2e19394cb462970f10b659640b7f88f7d7fa515b863ea107ef1b38df")),
+    (5, 2, 1, 1, 14, False, (
+        "146d4043516211681631b6c07b05a4dc1d4c95fe83254b6c1b827f9eeec90ab7",
+        "146d4043516211681631b6c07b05a4dc1d4c95fe83254b6c1b827f9eeec90ab7",
+        "5b7a15ce234f206bb718a73140af6b7ffc33ab13dc7080464c9e208f7c768612")),
+    (5, 3, 1, 1, 15, False, (
+        "cee720707f360e632df9c39c83a6c4da2264fdc346689121ce91b4fac1a8ee16",
+        "b6c3cd5dc2c0ace1688311757928ee01833a0493f958c5d85ad4e10f159d7466",
+        "8f8e0a1b3c435370cfbf81a0d4c5f9ad90f612d67d39d8239a8ed5001f3e777a")),
+    (7, 2, 1, 1, 16, False, (
+        "0984ac2c3f90827244cfff95202bb4f2bdbfbe19a8e5019e83e8fd6dfa148744",
+        "95577abe27617d2df60cda0ec3a87e84a5ef5e6d3ad96fbcd757530d98ceb734",
+        "373fcdc8706bfd92af8fe0150f9990b107e35d0777ecf8eb079c5f7cc21094e0")),
+    (8, 2, 1, 1, 17, False, (
+        "689dc30504927d3268038e3e97d4745c7818f38a848b9ba42f55c728fb0971fe",
+        "689dc30504927d3268038e3e97d4745c7818f38a848b9ba42f55c728fb0971fe",
+        "8fc0a2fd0dc6087ec50dc326fe1d105950158a1ce6f8cd95df85c9bfb87227b9")),
+    (9, 2, 1, 1, 18, False, (
+        "98a22408ad83f198b59e1d59e8972b8f165e9a2d09afe7000b6fca7f43a9fdbd",
+        "440a09bae035fd19f937e9aea27f9bc5ab317d9fdbcad866c623423376e07f81",
+        "1ff632703a4e52b6967613e7250b225ac6c49785861122d3da26cd76786cdb40")),
+]
+
+
+@pytest.mark.parametrize("q,n,k1,k2,seed,averaged,digests", _FROZEN_TRANSFORMS)
+def test_transform_frozen_digests(q, n, k1, k2, seed, averaged, digests):
+    spec = field_for_q(q)
+    c1, c2 = random_code(spec, n, k1, seed), random_code(spec, n, k2, seed + 1000)
+    base = (avg_cjwe_bruteforce if averaged else cjwe)(c1, c2)
+    assert averaged == any(c.denominator > 1 for c in base.terms.values())
+    for variant, digest in zip(TRANSFORM_VARIANTS, digests):
+        text = macwilliams_transform(base, variant, (c1.size, c2.size)).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, variant
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_transform_every_q(q):
+    spec = field_for_q(q)
+    rng = random.Random(7000 + q)
+    for n in (1, 2):
+        c1, c2 = (random_code(spec, n, rng.randrange(n + 1), rng.randrange(2**32)) for _ in "12")
+        base = cjwe(c1, c2)
+        for variant in TRANSFORM_VARIANTS:
+            d1 = c1 if variant == "second" else c1.dual()
+            d2 = c2 if variant == "first" else c2.dual()
+            got = macwilliams_transform(base, variant, (c1.size, c2.size))
+            assert got == cjwe(d1, d2), (q, n, c1.k, c2.k, variant)
+            assert got.evaluate_at_ones() == d1.size * d2.size
+
+
+def _pass_estimate(P, slot):
+    """The step estimate one single-slot pass checks, recomputed from the
+    exponent tuples: running products of fiber image sizes C(d + q - 1, d),
+    fiber expansions, and the unpacking of the bounded output."""
+    q, g, n = P.spec.q, P.fold, P.n
+    ncells, stride = q**g, q ** (g - 1 - slot)
+    m = [math.comb(d + q - 1, d) for d in range(n + 1)]
+    steps = images = 0
+    shapes = set()
+    for e in P.terms:
+        size = 1
+        for b in range(ncells):
+            fiber = e[b:b + q * stride:stride]
+            if b // stride % q == 0 and sum(fiber):
+                size *= m[sum(fiber)]
+                steps += size
+                shapes.add(fiber)
+        images += size
+    steps += sum(q * sum(t) * m[sum(t) - 1] for t in shapes)
+    return steps + min(images, math.comb(n + ncells - 1, n)) * ncells
+
+
+@pytest.mark.parametrize("q,variant", [(2, "first"), (3, "second"), (4, "both"), (5, "both")])
+def test_transform_budget_at_its_limit(q, variant):
+    spec = field_for_q(q)
+    c1, c2 = random_code(spec, 2, 1, q), random_code(spec, 2, 2 if q > 2 else 1, q + 1)
+    base, sizes = cjwe(c1, c2), (c1.size, c2.size)
+    if variant == "both":
+        # The second pass is estimated on the first pass's actual terms,
+        # which are those of the enumerator of (dual C1, C2).
+        limit = max(_pass_estimate(base, 0), _pass_estimate(cjwe(c1.dual(), c2), 1))
+    else:
+        limit = _pass_estimate(base, TRANSFORM_VARIANTS.index(variant))
+    expected = macwilliams_transform(base, variant, sizes)
+    assert macwilliams_transform(base, variant, sizes, budget=limit) == expected
+    with pytest.raises(CapacityError):
+        macwilliams_transform(base, variant, sizes, budget=limit - 1)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_transform_is_linear_on_signed_coefficients(q):
+    # A difference of enumerators has negative coefficients, which the
+    # packed Z[zeta_p] coordinates carry as balanced digits.
+    spec = field_for_q(q)
+    a = [random_code(spec, 2, k, 40 + k) for k in (0, 1, 2)]
+    left, right = cjwe(a[1], a[2]), cjwe(a[0], a[1]).scale(3)
+    diff = left + right.scale(-1)
+    assert any(c < 0 for c in diff.terms.values())
+    for variant in TRANSFORM_VARIANTS:
+        sizes = (q**2, q**2)
+        expected = macwilliams_transform(left, variant, sizes) + macwilliams_transform(
+            right, variant, sizes).scale(-1)
+        assert macwilliams_transform(diff, variant, sizes) == expected
+
+
+def test_transform_degree_at_the_byte_limit():
+    # Exponents are packed one byte per cell: 255 is the largest degree.
+    n = 255
+    base = EnumeratorPolynomial(F2, 2, n, {(n, 0, 0, 0): 1})
+    first = {(n - k, 0, k, 0): math.comb(n, k) for k in range(n + 1)}
+    second = {(n - k, k, 0, 0): math.comb(n, k) for k in range(n + 1)}
+    assert macwilliams_transform(base, "first", (1, 1)).terms == first
+    assert macwilliams_transform(base, "second", (1, 1)).terms == second
+    over = EnumeratorPolynomial(F2, 2, n + 1, {(n + 1, 0, 0, 0): 1})
+    with pytest.raises(CapacityError):
+        macwilliams_transform(over, "first", (1, 1))
+
+
+def test_transform_rejects_non_rational_residue():
+    # x[1] alone is no enumerator: its image x[0] + zeta x[1] + zeta^2 x[2]
+    # is not rational, which the pass reports instead of truncating.
+    with pytest.raises(RuntimeError):
+        macwilliams_transform(EnumeratorPolynomial(F3, 1, 1, {(0, 1, 0): 1}), "first", (1,))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_transform_fold_three(q):
+    spec = field_for_q(q)
+    rng = random.Random(900 + q)
+    for n in (1, 2):
+        codes = [random_code(spec, n, rng.randrange(n + 1), rng.randrange(2**32)) for _ in "123"]
+        base = gfold_cjwe(codes)
+        sizes = [c.size for c in codes]
+        for variant, dualized in (("first", (0,)), ("second", (1,)), ("both", (0, 1))):
+            expected = gfold_cjwe([c.dual() if j in dualized else c for j, c in enumerate(codes)])
+            assert macwilliams_transform(base, variant, sizes) == expected
