@@ -32,7 +32,7 @@ from .compositions import (
     count_profiles,
     tail_indices,
 )
-from .polynomials import EnumeratorPolynomial, macwilliams_transform
+from .polynomials import EnumeratorPolynomial, _term_list_text, macwilliams_transform
 
 
 def multinomial(n: int, parts) -> int:
@@ -240,9 +240,13 @@ class AverageReport:
         }
 
     def to_text(self) -> str:
-        import json
-
-        return json.dumps(self.to_doc(), indent=2) + "\n"
+        rows = (
+            (e, f'"left": "{lv.numerator}/{lv.denominator}",\n'
+                f'      "right": "{rv.numerator}/{rv.denominator}"')
+            for e, lv, rv in self.differences
+        )
+        agreed = "true" if self.agreed else "false"
+        return f'{{\n  "agreed": {agreed},\n  "differences": {_term_list_text(rows)}\n}}\n'
 
 
 def compare(left: EnumeratorPolynomial, right: EnumeratorPolynomial) -> AverageReport:

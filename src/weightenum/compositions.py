@@ -112,12 +112,13 @@ def census(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> Census:
     n = codes[0].n
     if any(c.spec != spec or c.n != n for c in codes):
         raise ValueError("codes must share field and length")
+    q = spec.q
+    g = len(codes)
     total = 1
     for c in codes:
         total *= c.size
-    check_budget(total * n, budget, "census")
-    q = spec.q
-    g = len(codes)
+    # Each tuple walks n positions and builds and hashes a q^g-cell key.
+    check_budget(total * (n + q**g), budget, "census")
     word_lists = [c.codeword_list(budget=budget) for c in codes]
     stride = q ** (g - 1)
     heads = [([a * stride for a in w], 1) for w in word_lists[0]]

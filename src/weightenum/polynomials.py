@@ -20,14 +20,18 @@ Serialized form (canonical, bit-exact round trip):
     {"fold": g, "q": q, "n": n,
      "terms": [{"exp": [e_0, ..., e_{q^g-1}], "coef": "<num>/<den>"}, ...]}
 
-with terms sorted lexicographically by exponent tuple.  The pretty renderer
-names variables x[i] / x[i,j] / x[i1,...,ig] by element indices.
+with terms sorted lexicographically by exponent tuple.  The canonical text
+is written directly with str.join and is byte-identical to
+json.dumps(doc, indent=2) + "\n" of that document; one term-list writer
+serves enumerators and comparison reports.  The pretty renderer names
+variables x[i] / x[i,j] / x[i1,...,ig] by element indices.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -45,12 +49,15 @@ class EnumeratorPolynomial:
     __slots__ = ("spec", "fold", "n", "terms")
 
     def __init__(self, spec: FieldSpec, fold: int, n: int, terms: dict):
+        fold, n = operator.index(fold), operator.index(n)
         ncells = spec.q**fold
         clean: dict[tuple[int, ...], Fraction] = {}
         for exp, coef in terms.items():
-            exp = tuple(exp)
+            exp = tuple(map(operator.index, exp))
             if len(exp) != ncells:
                 raise ValueError(f"exponent vector needs {ncells} cells, got {len(exp)}")
+            if min(exp) < 0:
+                raise ValueError(f"term {exp} has a negative exponent")
             if sum(exp) != n:
                 raise ValueError(f"term {exp} is not homogeneous of degree {n}")
             coef = Fraction(coef)
@@ -126,11 +133,17 @@ class EnumeratorPolynomial:
         }
 
     def to_text(self) -> str:
-        return json.dumps(self.to_doc(), indent=2) + "\n"
+        terms = _term_list_text(
+            (e, f'"coef": "{c.numerator}/{c.denominator}"') for e, c in self.sorted_terms()
+        )
+        return (
+            f'{{\n  "fold": {self.fold},\n  "q": {self.spec.q},\n  "n": {self.n},\n'
+            f'  "terms": {terms}\n}}\n'
+        )
 
     @classmethod
     def from_doc(cls, doc: dict, spec: FieldSpec | None = None) -> EnumeratorPolynomial:
-        q = int(doc["q"])
+        q = operator.index(doc["q"])
         if spec is None:
             spec = field_for_q(q)
         elif spec.q != q:
@@ -138,7 +151,7 @@ class EnumeratorPolynomial:
         terms = {
             tuple(item["exp"]): Fraction(item["coef"]) for item in doc["terms"]
         }
-        return cls(spec, int(doc["fold"]), int(doc["n"]), terms)
+        return cls(spec, doc["fold"], doc["n"], terms)
 
     @classmethod
     def from_text(cls, text: str, spec: FieldSpec | None = None) -> EnumeratorPolynomial:
@@ -418,7 +431,7 @@ def specialize(P: EnumeratorPolynomial, subs: dict, fold: int | None = None) -> 
             else:
                 out.pop(key, None)
     if degree is None:
-        degree = 0 if P.n else P.n
+        degree = P.n
     return EnumeratorPolynomial(spec, fold, degree, out)
 
 
@@ -431,3 +444,23 @@ def _cell_to_index(q: int, cell: tuple, fold: int) -> int:
             raise ValueError(f"cell entry {a} out of range for q = {q}")
         idx = idx * q + a
     return idx
+
+
+# -- canonical text -------------------------------------------------------------
+
+# The layout json.dumps(..., indent=2) gives a list of {"exp": [...], ...}
+# objects that is the value of a top-level key: objects at indent 4, their
+# keys at 6, exponent cells at 8.
+_CELL_SEP = ",\n        "
+_TERM_SEP = '\n    },\n    {\n      "exp": [\n        '
+_EXP_END = "\n      ],\n      "
+
+
+def _term_list_text(rows) -> str:
+    """Indent-2 JSON text of a term list from (exp, rest) rows, where rest is
+    the object's remaining members already written ('"coef": "1/2"').  Every
+    cell must be an int and every string free of characters JSON escapes."""
+    items = [f"{_CELL_SEP.join(map(str, e))}{_EXP_END}{rest}" for e, rest in rows]
+    if not items:
+        return "[]"
+    return f'[\n    {{\n      "exp": [\n        {_TERM_SEP.join(items)}\n    }}\n  ]'

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -84,3 +85,29 @@ def test_census_capacity():
     full = LinearCode(F3, 2, [(1, 0), (0, 1)])
     with pytest.raises(CapacityError):
         census([full, full], budget=10)
+
+
+def test_census_budget_at_its_limit():
+    from weightenum import CapacityError
+
+    full = LinearCode(F3, 2, [(1, 0), (0, 1)])
+    line = LinearCode(F3, 2, [(1, 2)])
+    # Every pair walks n positions and builds a q^g-cell key.
+    estimate = full.size * line.size * (2 + 3**2)
+    assert census([full, line], budget=estimate).total() == 27
+    with pytest.raises(CapacityError):
+        census([full, line], budget=estimate - 1)
+
+
+def test_census_counts_the_profile_keys():
+    from weightenum import CapacityError
+
+    # 16^2 * 16^3 word pairs with 256-cell keys: about 2.7e8 steps, refused
+    # before any codeword is listed.
+    f16 = field_for_q(16)
+    plane = LinearCode(f16, 3, [(1, 0, 0), (0, 1, 0)])
+    space = LinearCode(f16, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        census([plane, space])
+    assert time.perf_counter() - start < 0.5

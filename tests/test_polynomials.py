@@ -93,6 +93,12 @@ def test_specialize_identity_and_constants():
     assert collapsed == cwe(REP2).scale(SEL2.size)
 
 
+def test_specialize_keeps_the_degree_of_the_zero_polynomial():
+    zero = EnumeratorPolynomial(F2, 2, 3, {})
+    assert specialize(zero, {}) == zero
+    assert specialize(zero, {(a, b): (a,) for a in range(2) for b in range(2)}, fold=1).n == 3
+
+
 def test_specialize_rejects_inhomogeneous_results():
     poly = cjwe(REP2, SEL2)
     with pytest.raises(ValueError):
@@ -138,6 +144,35 @@ def test_polynomial_validation():
         EnumeratorPolynomial(F2, 1, 2, {(1, 0): 1})
     with pytest.raises(ValueError):
         cwe(REP2) + cwe(LinearCode(F2, 3, []))
+
+
+def test_exponent_cells_must_be_non_negative_ints():
+    doc = {"fold": 1, "q": 2, "n": 2, "terms": [{"exp": [1.0, 1.0], "coef": "1/1"}]}
+    with pytest.raises(TypeError):
+        EnumeratorPolynomial(F2, 1, 2, {(1.0, 1.0): 1})
+    with pytest.raises(TypeError):
+        EnumeratorPolynomial.from_doc(doc)
+    # The header is held to ints too: n = 2.5 is not truncated to 2.
+    doc = {"fold": 1, "q": 2, "n": 2.5, "terms": [{"exp": [1, 1], "coef": "1/1"}]}
+    with pytest.raises(TypeError):
+        EnumeratorPolynomial.from_doc(doc)
+
+
+def test_bool_exponent_cells_become_ints():
+    poly = EnumeratorPolynomial(F2, 1, 2, {(True, True): 1})
+    assert [type(e) for e in next(iter(poly.terms))] == [int, int]
+    assert json.loads(poly.to_text())["terms"][0]["exp"] == [1, 1]
+    assert "true" not in poly.to_text()
+    text = '{"fold": 1, "q": 2, "n": 2, "terms": [{"exp": [true, true], "coef": "1/1"}]}'
+    assert EnumeratorPolynomial.from_text(text).to_text() == poly.to_text()
+
+
+def test_negative_exponent_cells_are_rejected():
+    text = '{"fold": 1, "q": 2, "n": 2, "terms": [{"exp": [3, -1], "coef": "1/1"}]}'
+    with pytest.raises(ValueError, match="negative"):
+        EnumeratorPolynomial(F2, 1, 2, {(3, -1): 1})
+    with pytest.raises(ValueError, match="negative"):
+        EnumeratorPolynomial.from_text(text)
 
 
 # -- character-sum transforms ---------------------------------------------------

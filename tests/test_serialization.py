@@ -1,0 +1,93 @@
+"""The canonical text writer against json.dumps(doc, indent=2).
+
+EnumeratorPolynomial.to_text and AverageReport.to_text write their JSON
+directly; these tests hold every text they write byte-identical to the
+json.dumps rendering of the matching to_doc() and round-trip it.  The
+frozen SHA-256 pins in the other test modules are the end-to-end check.
+"""
+
+import itertools
+import json
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from weightenum import (
+    EnumeratorPolynomial,
+    FieldSpec,
+    avg_gfold_bruteforce,
+    avg_gfold_closedform,
+    compare,
+    field_for_q,
+    gfold_cjwe,
+    monomial_group_order,
+    random_code,
+)
+
+F2 = FieldSpec(2, 1)
+F3 = FieldSpec(3, 1)
+
+
+def _assert_json_dumps_text(obj):
+    # Compared line by line: a failure names the first differing line
+    # instead of diffing two long strings.
+    text = obj.to_text()
+    assert text.split("\n") == (json.dumps(obj.to_doc(), indent=2) + "\n").split("\n")
+    return text
+
+
+def _check_poly(poly):
+    text = _assert_json_dumps_text(poly)
+    again = EnumeratorPolynomial.from_text(text, poly.spec)
+    assert again == poly
+    assert again.to_text() == text
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_writer_matches_json_dumps_every_q(q, g):
+    spec = field_for_q(q)
+    rng = random.Random(900 + q * 10 + g)
+    # The longest n <= 3, over four draws, whose brute-force walk and
+    # written cells (about q^g per codeword tuple) stay small.
+    for n, _ in itertools.product((3, 2, 1), range(4)):
+        codes = [random_code(spec, n, rng.randrange(n + 1), rng.randrange(2**32)) for _ in range(g)]
+        tuples = math.prod(c.size for c in codes)
+        if monomial_group_order(spec, n) * tuples <= 20000 and q**g * tuples <= 2**16:
+            break
+    closed = avg_gfold_closedform(codes)
+    brute = avg_gfold_bruteforce(codes)
+    for poly in (gfold_cjwe(codes), closed, brute):
+        _check_poly(poly)
+    _assert_json_dumps_text(compare(closed, brute))
+
+
+def test_writer_on_the_empty_polynomial():
+    for poly in (EnumeratorPolynomial(F2, 2, 3, {}), EnumeratorPolynomial(F3, 1, 0, {})):
+        assert '"terms": []' in poly.to_text()
+        _check_poly(poly)
+
+
+def test_writer_on_signed_fractions_and_long_exponents():
+    poly = EnumeratorPolynomial(F3, 1, 300, {
+        (300, 0, 0): Fraction(-7, 3),
+        (123, 77, 100): Fraction(10**30 + 1, 2**70),
+        (0, 0, 300): -5,
+        (1, 299, 0): Fraction(1, 10**9),
+    })
+    text = poly.to_text()
+    assert '"coef": "-7/3"' in text and "\n        299,\n" in text
+    _check_poly(poly)
+
+
+def test_writer_on_reports_that_agree_and_differ():
+    p = EnumeratorPolynomial(F2, 2, 2, {(2, 0, 0, 0): Fraction(1, 2), (1, 1, 0, 0): 3})
+    r = EnumeratorPolynomial(F2, 2, 2, {(2, 0, 0, 0): Fraction(-1, 2), (0, 0, 1, 1): 1})
+    same = compare(p, p)
+    assert same.to_text() == '{\n  "agreed": true,\n  "differences": []\n}\n'
+    _assert_json_dumps_text(same)
+    differ = compare(p, r)
+    assert len(differ.differences) == 3
+    _assert_json_dumps_text(differ)
