@@ -28,8 +28,8 @@ from .codes import LinearCode, MonomialMatrix, apply_monomial_code, monomial_gro
 from .compositions import (
     CompositionProfile,
     census,
-    composition,
     count_profiles,
+    iter_compositions,
     tail_indices,
 )
 from .polynomials import EnumeratorPolynomial, _term_list_text, macwilliams_transform
@@ -287,28 +287,46 @@ class Lemma42Result:
     equal: bool
 
 
-def check_lemma42(
-    code: LinearCode, r, *, budget: int = DEFAULT_BUDGET
-) -> Lemma42Result:
-    """lhs sums, over all (q-1)^n invertible diagonal matrices D, the number
-    of codewords of C*D with composition r; rhs is (q-1)^n times the count
-    for C itself."""
+def lemma42_results(code: LinearCode, *, budget: int = DEFAULT_BUDGET) -> dict:
+    """Lemma 4.2 for every composition r of n into q cells, as {r: result}:
+    lhs counts the pairs (D, u), D an invertible diagonal matrix and u in C,
+    with u*D of composition r (keyed sum_z r_z (n+1)^z); rhs is (q-1)^n times
+    C's census count of r.  D is chosen one coordinate at a time: each u[i:]
+    holds how many pairs (d_1..d_i, u) reach each partial key, so pairs that
+    agree on what is left move together.  Every D and word is counted."""
     spec, n = code.spec, code.n
     q = spec.q
-    r_key = r.counts if isinstance(r, CompositionProfile) else tuple(r)
     scalings = (q - 1) ** n
     check_budget(scalings * code.size * n, budget, "diagonal scaling sweep")
     words = code.codeword_list(budget=budget)
-    mul = spec.mul_table
+    unit = [(n + 1) ** z for z in range(q)]
+    scaled = [[unit[x] for x in row] for row in spec.mul_table[1:]]
+    base: dict[int, int] = {}
+    for key in (sum(map(unit.__getitem__, u)) for u in words):
+        base[key] = base.get(key, 0) + 1
+    states = {u: {0: 1} for u in words}
+    for _ in range(n):
+        reached: dict[tuple, dict[int, int]] = {}
+        for u, keys in states.items():
+            tally = reached.setdefault(u[1:], {})
+            for row in scaled:
+                step = row[u[0]]
+                for key, m in keys.items():
+                    key += step
+                    tally[key] = tally.get(key, 0) + m
+        states = reached
+    results = {}
+    for r in iter_compositions(n, q):
+        key = sum(map(operator.mul, r, unit))
+        lhs, rhs = states[()].get(key, 0), scalings * base.get(key, 0)
+        results[r] = Lemma42Result(lhs, rhs, lhs == rhs)
+    return results
 
-    base = sum(1 for w in words if composition(spec, w).counts == r_key)
-    lhs = 0
-    for diag in itertools.product(range(1, q), repeat=n):
-        rows = [mul[d] for d in diag]
-        for w in words:
-            counts = [0] * q
-            for i in range(n):
-                counts[rows[i][w[i]]] += 1
-            if tuple(counts) == r_key:
-                lhs += 1
-    return Lemma42Result(lhs, scalings * base, lhs == scalings * base)
+
+def check_lemma42(code: LinearCode, r, *, budget: int = DEFAULT_BUDGET) -> Lemma42Result:
+    """Lemma 4.2 at one composition r of n into q cells (see lemma42_results)."""
+    results = lemma42_results(code, budget=budget)
+    r_key = r.counts if isinstance(r, CompositionProfile) else tuple(r)
+    if r_key not in results:
+        raise ValueError(f"{r_key} is not a composition of {code.n} into {code.spec.q} cells")
+    return results[r_key]

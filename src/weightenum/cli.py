@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--g", type=int, default=3, help="fold for the g-fold claim")
     p.add_argument("--trials", type=int, default=None,
-                   help="seeded random instances instead of exhaustive sweep")
+                   help="seeded random instances (at least 1) instead of exhaustive sweep")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_verify)
@@ -205,11 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main() call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    parser = _parser = _parser or build_parser()
     args = parser.parse_args(argv)
     if args.budget < 0:
         parser.error(f"argument --budget: must be non-negative, got {args.budget}")
+    if getattr(args, "trials", None) is not None and args.trials < 1:
+        parser.error(f"argument --trials: must be positive, got {args.trials}")
     try:
         return args.func(args)
     except CodeFileError as exc:

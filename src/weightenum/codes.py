@@ -65,7 +65,7 @@ def _rref(spec: FieldSpec, rows, n: int) -> tuple[tuple[int, ...], ...]:
 class LinearCode:
     """A subspace of F_q^n, canonicalized to rref generators."""
 
-    __slots__ = ("spec", "n", "generators", "k", "_words")
+    __slots__ = ("spec", "n", "generators", "k", "_words", "_dual")
 
     def __init__(self, spec: FieldSpec, n: int, rows=()):
         if n < 1:
@@ -82,6 +82,7 @@ class LinearCode:
         self.generators = _rref(spec, [[int(e) for e in row] for row in rows], n)
         self.k = len(self.generators)
         self._words = None
+        self._dual = None
 
     @property
     def size(self) -> int:
@@ -108,9 +109,11 @@ class LinearCode:
         return self._words
 
     def dual(self) -> LinearCode:
-        """Null space of the generators under the standard inner product."""
+        """Null space of the generators under the standard inner product, memoized."""
+        if self._dual is not None:
+            return self._dual
         spec, n = self.spec, self.n
-        mul, neg = spec.mul_table, spec.neg_table
+        neg = spec.neg_table
         gens = self.generators
         pivots = []
         col = 0
@@ -128,7 +131,8 @@ class LinearCode:
             for i, p_col in enumerate(pivots):
                 h[p_col] = neg[gens[i][f]]
             rows.append(h)
-        return LinearCode(spec, n, rows)
+        self._dual = LinearCode(spec, n, rows)
+        return self._dual
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
@@ -202,6 +206,18 @@ def monomial_group(spec: FieldSpec, n: int, *, budget: int = DEFAULT_BUDGET):
     for diag in itertools.product(range(1, spec.q), repeat=n):
         for perm in itertools.permutations(range(n)):
             yield MonomialMatrix(spec, n, perm, diag)
+
+
+def monomial_at(spec: FieldSpec, n: int, j: int) -> MonomialMatrix:
+    """monomial_group(spec, n)'s element j, from j's base q-1 and factorial digits."""
+    d, p = divmod(j, math.factorial(n))
+    diag, left, perm = [], list(range(n)), []
+    for i in reversed(range(n)):
+        d, x = divmod(d, spec.q - 1)
+        diag.append(x + 1)
+        k, p = divmod(p, math.factorial(i))
+        perm.append(left.pop(k))
+    return MonomialMatrix(spec, n, tuple(perm), tuple(reversed(diag)))
 
 
 # -- code file format ---------------------------------------------------------

@@ -456,11 +456,18 @@ _TERM_SEP = '\n    },\n    {\n      "exp": [\n        '
 _EXP_END = "\n      ],\n      "
 
 
+class _CellText(dict):
+    def __missing__(self, cell):
+        text = self[cell] = str(cell)
+        return text
+
+
 def _term_list_text(rows) -> str:
     """Indent-2 JSON text of a term list from (exp, rest) rows, where rest is
     the object's remaining members already written ('"coef": "1/2"').  Every
     cell must be an int and every string free of characters JSON escapes."""
-    items = [f"{_CELL_SEP.join(map(str, e))}{_EXP_END}{rest}" for e, rest in rows]
+    cell = _CellText().__getitem__
+    items = [f"{_CELL_SEP.join(map(cell, e))}{_EXP_END}{rest}" for e, rest in rows]
     if not items:
         return "[]"
     return f'[\n    {{\n      "exp": [\n        {_TERM_SEP.join(items)}\n    }}\n  ]'

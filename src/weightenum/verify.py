@@ -24,13 +24,14 @@ from .averages import (
     avg_gfold_bruteforce,
     avg_gfold_closedform,
     check_lemma31,
-    check_lemma42,
     compare,
+    lemma42_results,
 )
 from .codes import (
     LinearCode,
     all_codes,
     format_code_file,
+    monomial_at,
     monomial_group,
     monomial_group_order,
     random_code,
@@ -201,14 +202,15 @@ def _sweep_average(check, claim, q, n, g, trials, seed, budget):
 def _sweep_lemma31(check, q, n, trials, seed, budget):
     spec = field_for_q(q)
     pool = _code_pool(spec, n)
-    group = list(monomial_group(spec, n, budget=budget))
-    pairs = [(c, M) for c in pool for M in group]
-    mode = "exhaustive"
-    if trials is not None or len(pairs) > 5000:
+    order = monomial_group_order(spec, n)
+    if trials is None and len(pool) * order <= 5000:
+        pairs = list(itertools.product(pool, monomial_group(spec, n, budget=budget)))
+        mode = "exhaustive"
+    else:
         rng = random.Random(_cell_seed(seed, q, n))
         count = trials if trials is not None else _AUTO_TRIALS
         pairs = [
-            (pool[rng.randrange(len(pool))], group[rng.randrange(len(group))])
+            (pool[rng.randrange(len(pool))], monomial_at(spec, n, rng.randrange(order)))
             for _ in range(count)
         ]
         mode = f"random:{count}"
@@ -223,21 +225,30 @@ def _sweep_lemma31(check, q, n, trials, seed, budget):
 
 
 def _sweep_lemma42(check, q, n, trials, seed, budget):
+    """Draw j is (pool[j // R], comps[j % R]); the kernel runs once per drawn
+    code, and the exhaustive estimate bounds each run by the full space's."""
     spec = field_for_q(q)
     pool = _code_pool(spec, n)
-    combos = [(c, r) for c in pool for r in iter_compositions(n, q)]
-    mode = "exhaustive"
-    if trials is not None:
+    comps = list(iter_compositions(n, q))
+    R = len(comps)
+    if trials is None and len(pool) * (q - 1) ** n * q**n * n <= _EXHAUSTIVE_STEP_CAP:
+        draws, mode = range(len(pool) * R), "exhaustive"
+    else:
+        count = trials if trials is not None else _AUTO_TRIALS
         rng = random.Random(_cell_seed(seed, q, n))
-        combos = [combos[rng.randrange(len(combos))] for _ in range(trials)]
-        mode = f"random:{trials}"
-    for i, (c, r) in enumerate(combos):
-        result = check_lemma42(c, r, budget=budget)
+        draws = [rng.randrange(len(pool) * R) for _ in range(count)]
+        mode = f"random:{count}"
+    per_code = {}
+    for i, j in enumerate(draws):
+        code_i, r_i = divmod(j, R)
+        if code_i not in per_code:
+            per_code[code_i] = lemma42_results(pool[code_i], budget=budget)
+        result = per_code[code_i][comps[r_i]]
         check.add(
             f"q={q} n={n} {mode} #{i}",
-            [c],
+            [pool[code_i]],
             result.equal,
-            r=list(r),
+            r=list(comps[r_i]),
             lhs=result.lhs,
             rhs=result.rhs,
         )
@@ -256,6 +267,8 @@ def run_claim(
     """Sweep one claim over the requested cell or the default grid."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; choose from {', '.join(CLAIMS)}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     if claim == "yoshida" and q is None:
         q = 2
     cells = _grid(claim, q, n)

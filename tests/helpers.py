@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the dual oracle scans
 all q^n vectors instead of doing Gaussian elimination, subspace counts come
 from the Gaussian binomial product formula, multinomials from raw
-factorials, and the group average visits one monomial matrix at a time.
+factorials, and the group average and the Lemma 4.2 sums visit one
+monomial matrix at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +13,13 @@ import itertools
 import math
 from fractions import Fraction
 
-from weightenum import FieldSpec, LinearCode, monomial_group, monomial_group_order
+from weightenum import (
+    FieldSpec,
+    LinearCode,
+    MonomialMatrix,
+    monomial_group,
+    monomial_group_order,
+)
 
 
 def brute_dual_words(code: LinearCode) -> set[tuple[int, ...]]:
@@ -87,6 +94,36 @@ def literal_group_average(codes) -> dict[tuple[int, ...], Fraction]:
             exp[cell] += 1
         terms[tuple(exp)] = Fraction(c, order)
     return terms
+
+
+def literal_lemma42(code) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Both sides of Lemma 4.2 at every composition r of n into q cells, as
+    {r: (lhs, rhs)}: each invertible diagonal D is built as a MonomialMatrix
+    with the identity permutation and applied to every codeword on its own,
+    and every composition is counted here.  The compositions are listed from
+    multisets of n values, not from the package's enumerator."""
+    spec, n = code.spec, code.n
+    q = spec.q
+
+    def comp(word):
+        counts = [0] * q
+        for x in word:
+            counts[x] += 1
+        return tuple(counts)
+
+    words = code.codeword_list()
+    lhs: dict[tuple[int, ...], int] = {}
+    for diag in itertools.product(range(1, q), repeat=n):
+        D = MonomialMatrix(spec, n, tuple(range(n)), diag)
+        for u in words:
+            r = comp(D.apply(u))
+            lhs[r] = lhs.get(r, 0) + 1
+    base = [comp(u) for u in words]
+    out = {}
+    for values in itertools.combinations_with_replacement(range(q), n):
+        r = comp(values)
+        out[r] = (lhs.get(r, 0), (q - 1) ** n * base.count(r))
+    return out
 
 
 def make_code(spec: FieldSpec, n: int, rows) -> LinearCode:

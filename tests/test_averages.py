@@ -30,7 +30,10 @@ from weightenum import (
     random_code,
 )
 
-from helpers import factorial_multinomial, literal_group_average
+from weightenum.averages import lemma42_results
+from weightenum.compositions import CompositionProfile
+
+from helpers import factorial_multinomial, literal_group_average, literal_lemma42
 
 F2 = FieldSpec(2, 1)
 F3 = FieldSpec(3, 1)
@@ -364,3 +367,47 @@ def test_check_lemma42():
     # zero code: the zero word survives every scaling
     res = check_lemma42(ZERO3, (2, 0, 0))
     assert res.lhs == res.rhs == 4 and res.equal
+
+
+LEMMA42_CELLS = [
+    (q, n) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16) for n in ((1, 2, 3) if q <= 7 else (1, 2))
+]
+
+
+@pytest.mark.parametrize("q,n", LEMMA42_CELLS)
+def test_lemma42_results_match_the_literal_oracle(q, n):
+    # Every code where there are few, else a seeded code of every dimension.
+    spec = field_for_q(q)
+    if q**n <= 27:
+        codes = list(all_codes(spec, n))
+    else:
+        codes = [random_code(spec, n, k, 1000 * q + 10 * n + k) for k in range(n + 1)]
+    for code in codes:
+        results = lemma42_results(code)
+        expected = literal_lemma42(code)
+        assert set(results) == set(expected)
+        for r, (lhs, rhs) in expected.items():
+            assert (results[r].lhs, results[r].rhs, results[r].equal) == (lhs, rhs, lhs == rhs)
+            assert check_lemma42(code, r) == results[r]
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 3, 2), (3, 3, 2), (4, 2, 1), (5, 2, 2)])
+def test_lemma42_budget_at_its_limit(q, n, k):
+    # The kernel's one estimate, (q-1)^n * |C| * n, is the binding check.
+    code = random_code(field_for_q(q), n, k, 7)
+    estimate = (q - 1) ** n * code.size * n
+    assert len(lemma42_results(code, budget=estimate)) == math.comb(n + q - 1, q - 1)
+    with pytest.raises(CapacityError):
+        lemma42_results(code, budget=estimate - 1)
+
+
+@pytest.mark.parametrize("r", [(5, 0, 0), (1, 1), (3, 0, 0, 0)])
+def test_check_lemma42_rejects_non_compositions(r):
+    code = random_code(F3, 3, 1, 3)
+    with pytest.raises(ValueError, match="not a composition of 3 into 3 cells"):
+        check_lemma42(code, r)
+
+
+def test_check_lemma42_takes_a_profile():
+    r = CompositionProfile(3, 1, (0, 2, 0))
+    assert check_lemma42(SPAN3, r) == check_lemma42(SPAN3, (0, 2, 0))

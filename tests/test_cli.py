@@ -200,6 +200,14 @@ def test_negative_budget_is_a_usage_error(files, capsys):
     assert "--budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_non_positive_trials_are_a_usage_error(capsys, trials):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "macwilliams", "--q", "2", "--n", "2", "--trials", trials])
+    assert err.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_oversized_field_exit_3(files, capsys):
     huge = files("huge.code", "field p=2 m=10000000\nn=2\n")
     rc = main(["cwe", huge])
@@ -224,6 +232,56 @@ def test_large_transform_cell_ends_in_budget(capsys):
     assert rc in (0, 3)
     assert time.perf_counter() - start < 5.0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("claim", ["lemma31", "lemma42"])
+def test_lemma_sweeps_at_q16_n4_end_in_time(capsys, claim):
+    # Both sweeps sample by index (1.2M group elements, 78,901 codes times
+    # 3,876 compositions) instead of listing every pair first.
+    start = time.perf_counter()
+    rc = main(["verify", claim, "--q", "16", "--n", "4"])
+    assert rc in (0, 3)
+    assert time.perf_counter() - start < 5.0
+    out = capsys.readouterr().out
+    if rc == 0:
+        assert json.loads(out)["instances"][0]["description"] == "q=16 n=4 random:10 #0"
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's src on its path."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def _separate_run(*argv) -> tuple[int, str]:
+    result = _python("-m", "weightenum", *argv)
+    return result.returncode, result.stdout
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    first = ["random-code", "--q", "3", "--n", "3", "--k", "2", "--seed", "4"]
+    second = ["verify", "lemma42", "--q", "3", "--n", "1", "--trials", "2"]
+    got = [run(capsys, *first)]
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "lemma42", "--trials", "0"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    got.append(run(capsys, *second))
+    assert builds == [1]
+    assert got == [_separate_run(*first), _separate_run(*second)]
+
+
+def test_import_does_not_build_the_parser():
+    result = _python("-c", "import weightenum.cli as cli; print(cli._parser)")
+    assert result.stdout == "None\n", result.stderr
 
 
 def test_out_flag_writes_file(files, capsys, tmp_path):

@@ -16,6 +16,8 @@ from weightenum import (
     random_code,
 )
 
+from weightenum.codes import monomial_at
+
 from helpers import brute_dual_words, code_words, subspace_count
 
 F2 = FieldSpec(2, 1)
@@ -70,6 +72,17 @@ def test_double_dual_and_size_product(q, n):
         assert code.size * code.dual().size == q**n
 
 
+def test_dual_is_memoized_but_the_double_dual_is_recomputed():
+    for code in all_codes(F3, 2):
+        d = code.dual()
+        assert code.dual() is d
+        # The dual is never linked back to its code, so the double-dual
+        # identity above compares a freshly computed code.
+        assert d.dual() == code
+        assert d.dual() is not code
+        assert d.dual() is d.dual()
+
+
 def test_apply_monomial_examples():
     ident = MonomialMatrix.identity(F3, 2)
     assert ident.apply((1, 2)) == (1, 2)
@@ -106,6 +119,13 @@ def test_monomial_group_sizes():
     assert monomial_group_order(F3, 3) == 48
     with pytest.raises(CapacityError):
         list(monomial_group(F3, 3, budget=10))
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 4), (3, 3), (4, 3), (5, 2), (7, 1)])
+def test_monomial_at_decodes_group_order(q, n):
+    spec = field_for_q(q)
+    group = list(monomial_group(spec, n))
+    assert [monomial_at(spec, n, j) for j in range(len(group))] == group
 
 
 def test_monomial_group_action_laws():

@@ -111,6 +111,13 @@ def test_unknown_claim():
         run_claim("lemma99", q=2, n=2)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_non_positive_trials_are_refused(trials):
+    # An empty sweep would report an assertive pass over no instances.
+    with pytest.raises(ValueError, match="trials must be positive"):
+        run_claim("macwilliams", q=2, n=2, trials=trials)
+
+
 @pytest.mark.parametrize(
     "claim,kwargs,digest",
     [
