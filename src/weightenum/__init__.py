@@ -35,7 +35,6 @@ from .compositions import (
     Census,
     CompositionProfile,
     census,
-    composition,
     iter_compositions,
 )
 from .polynomials import (

@@ -27,6 +27,7 @@ from .capacity import DEFAULT_BUDGET, check_budget
 from .codes import LinearCode, MonomialMatrix, apply_monomial_code, monomial_group_order
 from .compositions import (
     CompositionProfile,
+    _code_shape,
     census,
     count_profiles,
     iter_compositions,
@@ -61,12 +62,7 @@ def avg_gfold_bruteforce(
     count to m(v), and stage 3 profiles each distinct v once against every
     tail with weight m(v).  The m(v) sum to |G| * |C1|; each stage checks
     its own step estimate before it runs."""
-    if not codes:
-        raise ValueError("need at least one code")
-    spec = codes[0].spec
-    n = codes[0].n
-    if any(c.spec != spec or c.n != n for c in codes):
-        raise ValueError("codes must share field and length")
+    spec, n = _code_shape(codes)
     q = spec.q
     g = len(codes)
     what = "brute-force average"
@@ -123,12 +119,7 @@ def avg_gfold_closedform(
     tables with those margins, column by column within the row capacity
     left, skipping empty rows and columns, and carries the product of
     column multinomials down.  Every table reached is a term."""
-    if not codes:
-        raise ValueError("need at least one code")
-    spec = codes[0].spec
-    n = codes[0].n
-    if any(c.spec != spec or c.n != n for c in codes):
-        raise ValueError("codes must share field and length")
+    spec, n = _code_shape(codes)
     q = spec.q
     g = len(codes)
     ncells = q**g

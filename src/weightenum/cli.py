@@ -216,6 +216,8 @@ def main(argv=None) -> int:
         parser.error(f"argument --budget: must be non-negative, got {args.budget}")
     if getattr(args, "trials", None) is not None and args.trials < 1:
         parser.error(f"argument --trials: must be positive, got {args.trials}")
+    if getattr(args, "g", None) is not None and args.g < 1:
+        parser.error(f"argument --g: must be positive, got {args.g}")
     try:
         return args.func(args)
     except CodeFileError as exc:

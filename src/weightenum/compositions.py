@@ -41,13 +41,6 @@ class CompositionProfile:
         return sum(self.counts)
 
 
-def composition(spec: FieldSpec, word) -> CompositionProfile:
-    counts = [0] * spec.q
-    for e in word:
-        counts[e] += 1
-    return CompositionProfile(spec.q, 1, tuple(counts))
-
-
 def iter_compositions(total: int, cells: int):
     """All tuples of `cells` non-negative integers summing to `total`,
     in lexicographic order (stars and bars).  The cells - 1 bar positions
@@ -104,14 +97,19 @@ def count_profiles(heads, tails, ncells: int) -> dict[tuple[int, ...], int]:
     return counts
 
 
-def census(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> Census:
-    """Joint profile census of tuples from the product of the given codes."""
+def _code_shape(codes) -> tuple[FieldSpec, int]:
+    """(spec, n) of a non-empty tuple of codes over one field and length."""
     if not codes:
         raise ValueError("need at least one code")
-    spec = codes[0].spec
-    n = codes[0].n
+    spec, n = codes[0].spec, codes[0].n
     if any(c.spec != spec or c.n != n for c in codes):
         raise ValueError("codes must share field and length")
+    return spec, n
+
+
+def census(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> Census:
+    """Joint profile census of tuples from the product of the given codes."""
+    spec, n = _code_shape(codes)
     q = spec.q
     g = len(codes)
     total = 1

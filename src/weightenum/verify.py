@@ -1,9 +1,13 @@
 """Claim sweeps: run both computation routes over a grid of instances.
 
-Each claim is checked instance by instance (a code, a code pair, or a code
-tuple plus whatever else the claim needs) and the verdicts are collected in
-a ClaimCheck whose serialization embeds the instance code files, so any
-reported discrepancy can be replayed from the report alone.
+Each claim is one row of the claim table, _TABLE: its sweep, its
+assertive rule, whether it takes a fold g, and whether it is fixed at
+q = 2.  A new claim is one new row.  run_claim checks its inputs, runs the
+row's sweep on every grid cell and records each instance (a code, a code
+pair, or a code tuple plus whatever else the claim needs) in a ClaimCheck
+whose serialization embeds the instance code files, so any reported
+discrepancy can be replayed from the report alone.  All sweeps pick their
+instances the same way: exhaustive when affordable, else seeded draws.
 
 Assertive claims are expected to hold on every instance (the plain and
 averaged character-sum identities, and the closed form at q = 2); the
@@ -40,18 +44,6 @@ from .compositions import iter_compositions
 from .field import field_for_q
 from .polynomials import TRANSFORM_VARIANTS, cjwe, macwilliams_transform
 
-CLAIMS = (
-    "macwilliams",
-    "thm33i",
-    "thm33ii",
-    "thm33iii",
-    "yoshida",
-    "thm43",
-    "thm52",
-    "lemma31",
-    "lemma42",
-)
-
 DEFAULT_GRID_Q = (2, 3, 4)
 DEFAULT_GRID_N = (1, 2, 3)
 
@@ -59,8 +51,6 @@ DEFAULT_GRID_N = (1, 2, 3)
 # random sampling of this many instances per cell.
 _EXHAUSTIVE_STEP_CAP = 2_000_000
 _AUTO_TRIALS = 10
-
-_VARIANT_OF = {"thm33i": "first", "thm33ii": "second", "thm33iii": "both"}
 
 
 @dataclass
@@ -111,8 +101,16 @@ class ClaimCheck:
 # -- instance selection ---------------------------------------------------------
 
 
-def _code_pool(spec, n) -> list[LinearCode]:
-    return list(all_codes(spec, n))
+def _instances(trials, seed, cost, every, draw):
+    """(instances, mode) for every sweep: every() when no trials are asked
+    and the estimated cost fits _EXHAUSTIVE_STEP_CAP, else trials (default
+    _AUTO_TRIALS) seeded draws, draw(rng) each."""
+    if trials is None:
+        if cost <= _EXHAUSTIVE_STEP_CAP:
+            return every(), "exhaustive"
+        trials = _AUTO_TRIALS
+    rng = random.Random(seed)
+    return [draw(rng) for _ in range(trials)], f"random:{trials}"
 
 
 def _draw_pair(spec, n, g, rng) -> list[LinearCode]:
@@ -126,132 +124,119 @@ def _draw_tuple(spec, n, g, rng) -> list[LinearCode]:
     return [random_code(spec, n, rng.randrange(n + 1), rng.randrange(2**32)) for _ in range(g)]
 
 
-def _instances(spec, n, g, est_per_tuple, trials, seed, draw):
-    """All g-tuples of codes when affordable, else seeded random draws."""
-    if trials is None:
-        pool = _code_pool(spec, n)
-        if len(pool) ** g * est_per_tuple <= _EXHAUSTIVE_STEP_CAP:
-            return [list(t) for t in itertools.product(pool, repeat=g)], "exhaustive"
-        trials = _AUTO_TRIALS
-    rng = random.Random(seed)
-    return [draw(spec, n, g, rng) for _ in range(trials)], f"random:{trials}"
+def _code_tuples(spec, n, g, est_per_tuple, trials, seed, draw):
+    """g-tuples of codes, each a list (the kernels' code-list form); the pool
+    of all codes is built only when the sweep may be exhaustive."""
+    pool = list(all_codes(spec, n)) if trials is None else []
+    return _instances(trials, seed, len(pool) ** g * est_per_tuple,
+                      lambda: [list(t) for t in itertools.product(pool, repeat=g)],
+                      lambda rng: draw(spec, n, g, rng))
 
 
 def _cell_seed(seed: int, q: int, n: int) -> int:
     return seed * 1_000_003 + q * 101 + n
 
 
-def _grid(claim: str, q, n):
-    qs = (q,) if q is not None else DEFAULT_GRID_Q
-    ns = (n,) if n is not None else DEFAULT_GRID_N
-    if claim == "yoshida":
-        if any(qq != 2 for qq in qs):
-            raise ValueError("the yoshida claim is the q = 2 regime; use thm43 for q > 2")
-    return [(qq, nn) for qq in qs for nn in ns]
+# -- sweeps: generators of (mode, codes, equal, extra) per instance ---------------
 
 
-# -- per-claim sweeps --------------------------------------------------------------
-
-
-def _sweep_transform(check, claim, q, n, trials, seed, budget):
-    spec = field_for_q(q)
-    est = (q * q) ** n * q ** (2 * n)
-    pairs, mode = _instances(spec, n, 2, est, trials, _cell_seed(seed, q, n), _draw_pair)
-    variants = TRANSFORM_VARIANTS if claim == "macwilliams" else (_VARIANT_OF[claim],)
-    enumerator = cjwe if claim == "macwilliams" else avg_cjwe_bruteforce
-    for i, (c1, c2) in enumerate(pairs):
+def _sweep_transform(row, spec, n, g, trials, seed, budget):
+    """Each of the row's variants of the pair transform against the
+    enumerator of the dualized pair; the enumerator is the joint one, or the
+    brute-force average for an averaged row."""
+    q = spec.q
+    pairs, mode = _code_tuples(spec, n, 2, (q * q) ** n * q ** (2 * n), trials, seed, _draw_pair)
+    enumerator = avg_cjwe_bruteforce if row.averaged else cjwe
+    for c1, c2 in pairs:
         base = enumerator(c1, c2, budget=budget)
         verdicts = {}
-        for variant in variants:
+        for variant in row.variants:
             got = macwilliams_transform(base, variant, (c1.size, c2.size), budget=budget)
             d1 = c1 if variant == "second" else c1.dual()
             d2 = c2 if variant == "first" else c2.dual()
             verdicts[variant] = got == enumerator(d1, d2, budget=budget)
-        check.add(
-            f"q={q} n={n} {mode} #{i}",
-            [c1, c2],
-            all(verdicts.values()),
-            variants=verdicts,
-        )
+        yield mode, [c1, c2], all(verdicts.values()), {"variants": verdicts}
 
 
-def _sweep_average(check, claim, q, n, g, trials, seed, budget):
-    """Closed form against brute force.  thm52 runs at the requested g with
-    its own draw order and tags g in each description; the pair claims run
-    at g = 2."""
-    if claim == "thm52":
-        draw, tag = _draw_tuple, f" g={g}"
-    else:
-        g, draw, tag = 2, _draw_pair, ""
-    spec = field_for_q(q)
-    est = monomial_group_order(spec, n) * q ** (g * n) * n
-    tuples, mode = _instances(spec, n, g, est, trials, _cell_seed(seed, q, n), draw)
-    for i, codes in enumerate(tuples):
+def _sweep_average(row, spec, n, g, trials, seed, budget):
+    """Closed form against brute force: on g-tuples drawn code by code for a
+    row that takes g, else on pairs."""
+    g, draw = (g, _draw_tuple) if row.takes_g else (2, _draw_pair)
+    est = monomial_group_order(spec, n) * spec.q ** (g * n) * n
+    tuples, mode = _code_tuples(spec, n, g, est, trials, seed, draw)
+    for codes in tuples:
         report = compare(
             avg_gfold_closedform(codes, budget=budget),
             avg_gfold_bruteforce(codes, budget=budget),
         )
-        check.add(
-            f"q={q} n={n}{tag} {mode} #{i}",
-            codes,
-            report.agreed,
-            differences=report.to_doc()["differences"],
-        )
+        yield mode, codes, report.agreed, {"differences": report.to_doc()["differences"]}
 
 
-def _sweep_lemma31(check, q, n, trials, seed, budget):
-    spec = field_for_q(q)
-    pool = _code_pool(spec, n)
+def _sweep_lemma31(row, spec, n, g, trials, seed, budget):
+    """(code, matrix) pairs; a pair's check is costed at 400 steps."""
+    pool = list(all_codes(spec, n))
     order = monomial_group_order(spec, n)
-    if trials is None and len(pool) * order <= 5000:
-        pairs = list(itertools.product(pool, monomial_group(spec, n, budget=budget)))
-        mode = "exhaustive"
-    else:
-        rng = random.Random(_cell_seed(seed, q, n))
-        count = trials if trials is not None else _AUTO_TRIALS
-        pairs = [
-            (pool[rng.randrange(len(pool))], monomial_at(spec, n, rng.randrange(order)))
-            for _ in range(count)
-        ]
-        mode = f"random:{count}"
-    for i, (c, M) in enumerate(pairs):
+    pairs, mode = _instances(
+        trials, seed, len(pool) * order * 400,
+        lambda: itertools.product(pool, monomial_group(spec, n, budget=budget)),
+        lambda rng: (pool[rng.randrange(len(pool))], monomial_at(spec, n, rng.randrange(order))),
+    )
+    for c, M in pairs:
         result = check_lemma31(c, M)
-        check.add(
-            f"q={q} n={n} {mode} #{i}",
-            [c],
-            result.equal,
-            matrix={"perm": list(M.perm), "diag": list(M.diag)},
-        )
+        yield mode, [c], result.equal, {"matrix": {"perm": list(M.perm), "diag": list(M.diag)}}
 
 
-def _sweep_lemma42(check, q, n, trials, seed, budget):
+def _sweep_lemma42(row, spec, n, g, trials, seed, budget):
     """Draw j is (pool[j // R], comps[j % R]); the kernel runs once per drawn
     code, and the exhaustive estimate bounds each run by the full space's."""
-    spec = field_for_q(q)
-    pool = _code_pool(spec, n)
+    q = spec.q
+    pool = list(all_codes(spec, n))
     comps = list(iter_compositions(n, q))
     R = len(comps)
-    if trials is None and len(pool) * (q - 1) ** n * q**n * n <= _EXHAUSTIVE_STEP_CAP:
-        draws, mode = range(len(pool) * R), "exhaustive"
-    else:
-        count = trials if trials is not None else _AUTO_TRIALS
-        rng = random.Random(_cell_seed(seed, q, n))
-        draws = [rng.randrange(len(pool) * R) for _ in range(count)]
-        mode = f"random:{count}"
+    size = len(pool) * R
+    draws, mode = _instances(trials, seed, len(pool) * (q - 1) ** n * q**n * n,
+                             lambda: range(size), lambda rng: rng.randrange(size))
     per_code = {}
-    for i, j in enumerate(draws):
+    for j in draws:
         code_i, r_i = divmod(j, R)
         if code_i not in per_code:
             per_code[code_i] = lemma42_results(pool[code_i], budget=budget)
         result = per_code[code_i][comps[r_i]]
-        check.add(
-            f"q={q} n={n} {mode} #{i}",
-            [pool[code_i]],
-            result.equal,
-            r=list(comps[r_i]),
-            lhs=result.lhs,
-            rhs=result.rhs,
-        )
+        extra = {"r": list(comps[r_i]), "lhs": result.lhs, "rhs": result.rhs}
+        yield mode, [pool[code_i]], result.equal, extra
+
+
+# -- the claim table ----------------------------------------------------------------
+
+
+@dataclass
+class _Claim:
+    """One claim.  A row holds data and its sweep, never a kernel: sweeps
+    look kernels up by module name when they run, so rebinding a module
+    global (as a tracer does) reaches every call."""
+
+    sweep: object  # a sweep generator function above
+    assertive: str  # "always", "q=2" (only when every cell has q = 2) or "never"
+    variants: tuple = ()  # transform sweeps: the variants checked
+    averaged: bool = False  # transform sweeps: both sides are brute-force averages
+    takes_g: bool = False  # runs at the requested fold g, reported as params["g"]
+    fixed_q2: str = ""  # set for a claim fixed at q = 2: the claim to use for q > 2
+
+
+_TABLE = {
+    "macwilliams": _Claim(_sweep_transform, "always", variants=TRANSFORM_VARIANTS),
+    "thm33i": _Claim(_sweep_transform, "always", variants=("first",), averaged=True),
+    "thm33ii": _Claim(_sweep_transform, "always", variants=("second",), averaged=True),
+    "thm33iii": _Claim(_sweep_transform, "always", variants=("both",), averaged=True),
+    "yoshida": _Claim(_sweep_average, "always", fixed_q2="thm43"),
+    "thm43": _Claim(_sweep_average, "q=2"),
+    "thm52": _Claim(_sweep_average, "q=2", takes_g=True),
+    # lemma31 is observational: the set identity fails for specific M
+    "lemma31": _Claim(_sweep_lemma31, "never"),
+    "lemma42": _Claim(_sweep_lemma42, "q=2"),
+}
+
+CLAIMS = tuple(_TABLE)
 
 
 def run_claim(
@@ -265,39 +250,31 @@ def run_claim(
     budget: int = DEFAULT_BUDGET,
 ) -> ClaimCheck:
     """Sweep one claim over the requested cell or the default grid."""
-    if claim not in CLAIMS:
+    row = _TABLE.get(claim)
+    if row is None:
         raise ValueError(f"unknown claim {claim!r}; choose from {', '.join(CLAIMS)}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if claim == "yoshida" and q is None:
+    if g < 1:
+        raise ValueError(f"g must be positive, got {g}")
+    if row.fixed_q2:
+        if q not in (None, 2):
+            raise ValueError(f"the {claim} claim is the q = 2 regime; use {row.fixed_q2} for q > 2")
         q = 2
-    cells = _grid(claim, q, n)
-    params = {
-        "q": q,
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "cells": [list(c) for c in cells],
-    }
-    if claim == "thm52":
+    qs = (q,) if q is not None else DEFAULT_GRID_Q
+    cells = list(itertools.product(qs, (n,) if n is not None else DEFAULT_GRID_N))
+    params = {"q": q, "n": n, "trials": trials, "seed": seed, "cells": [list(c) for c in cells]}
+    tag = ""
+    if row.takes_g:
         params["g"] = g
+        tag = f" g={g}"
     check = ClaimCheck(claim, params)
 
     for qq, nn in cells:
-        if claim in ("macwilliams", "thm33i", "thm33ii", "thm33iii"):
-            _sweep_transform(check, claim, qq, nn, trials, seed, budget)
-        elif claim in ("yoshida", "thm43", "thm52"):
-            _sweep_average(check, claim, qq, nn, g, trials, seed, budget)
-        elif claim == "lemma31":
-            _sweep_lemma31(check, qq, nn, trials, seed, budget)
-        elif claim == "lemma42":
-            _sweep_lemma42(check, qq, nn, trials, seed, budget)
+        sweep = row.sweep(row, field_for_q(qq), nn, g, trials, _cell_seed(seed, qq, nn), budget)
+        for i, (mode, codes, equal, extra) in enumerate(sweep):
+            check.add(f"q={qq} n={nn}{tag} {mode} #{i}", codes, equal, **extra)
 
-    if claim in ("macwilliams", "thm33i", "thm33ii", "thm33iii", "yoshida"):
-        assertive = True
-    elif claim in ("thm43", "thm52", "lemma42"):
-        assertive = all(qq == 2 for qq, _ in cells)
-    else:  # lemma31 is observational: the set identity fails for specific M
-        assertive = False
-    check.finish(assertive)
+    at_q2 = row.assertive == "q=2" and all(qq == 2 for qq in qs)
+    check.finish(row.assertive == "always" or at_q2)
     return check

@@ -208,6 +208,14 @@ def test_non_positive_trials_are_a_usage_error(capsys, trials):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("g", ["0", "-2"])
+def test_non_positive_g_is_a_usage_error(capsys, g):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "thm52", "--q", "2", "--n", "1", "--g", g])
+    assert err.value.code == 2
+    assert "--g: must be positive" in capsys.readouterr().err
+
+
 def test_oversized_field_exit_3(files, capsys):
     huge = files("huge.code", "field p=2 m=10000000\nn=2\n")
     rc = main(["cwe", huge])

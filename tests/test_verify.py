@@ -118,6 +118,12 @@ def test_non_positive_trials_are_refused(trials):
         run_claim("macwilliams", q=2, n=2, trials=trials)
 
 
+@pytest.mark.parametrize("g", [0, -2])
+def test_non_positive_g_is_refused(g):
+    with pytest.raises(ValueError, match="g must be positive"):
+        run_claim("thm52", q=2, n=1, g=g)
+
+
 @pytest.mark.parametrize(
     "claim,kwargs,digest",
     [
@@ -129,10 +135,34 @@ def test_non_positive_trials_are_refused(trials):
          "f6c1594bb74570ca098f112288e6ac4d4da7484ce56edc94ae400a0866077abf"),
         ("thm33iii", dict(q=3, n=2, trials=2, seed=1),
          "a256abc3db1b5f8de6b941dfb99fead6af40917a819399878be1f2bb83623457"),
+        ("macwilliams", dict(),
+         "ad6fdb828364235c59c36928ef841f1a4379b8249922cafc080e760f61c28d48"),
+        ("thm33i", dict(),
+         "37c74418f23e02390d692000ed156f513f4829c61fc3da55b5a0a7c673bd1395"),
+        ("thm33ii", dict(),
+         "5a2025c46d9db3ab7ae355f10ed9bcf52ccba0f6f259eb21756c46814eef6d5c"),
+        ("thm33iii", dict(),
+         "eaf8205dc4ff2f43d2070af8f7bab89c7dfcec52acadaae90afd21538b4746de"),
+        ("yoshida", dict(),
+         "6461542bfa45a68d88ad4fe953f472cc9257a905a582566a8b6ad15a47a39c12"),
+        ("thm43", dict(),
+         "77c195b049612a58c84213b53f705e1e8d4b78bb86f5fdb9437b3cdb343dfef3"),
+        ("thm52", dict(),
+         "858bfd20181055bb86b87e5d415b5128295889734794eb5d6c0f61e5f01471f7"),
+        ("lemma31", dict(),
+         "3f2e71fad11a877e7b0bdc02b7e5180e6526608e1b38702299010b192b701734"),
+        ("lemma42", dict(),
+         "86a4be135c026dd5c07f7496c5e56f7a6349ba1054d68e01e0c0518fdf239f6b"),
+        ("lemma31", dict(q=3, n=2, trials=7, seed=4),
+         "0155905ff0ce97a23d8a867927e42b91a136792c593b96a7a529da228a95f7b9"),
+        ("lemma42", dict(q=3, n=2, trials=7, seed=4),
+         "f818fed767fa3285156a345bdbfa247907462793af11821d39c165cf7173f7a1"),
     ],
 )
 def test_frozen_draw_orders(claim, kwargs, digest):
     # Pair claims draw k1, k2, seed1, seed2; thm52 draws k, seed per code at
-    # every g, g = 2 included.  Reports must stay byte-identical.
+    # every g, g = 2 included; lemma31 draws a code then a matrix index, and
+    # lemma42 one (code, composition) index.  Every claim's default grid is
+    # pinned too.  Reports must stay byte-identical.
     text = run_claim(claim, **kwargs).to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
