@@ -117,8 +117,9 @@ def avg_gfold_closedform(
     weight is nonzero exactly when both counts are, so the walk runs over
     the two census supports: for each pair (s1, tail) it fills only the
     tables with those margins, column by column within the row capacity
-    left, skipping empty rows and columns, and carries the product of
-    column multinomials down.  Every table reached is a term."""
+    left, skipping empty rows and columns, and carries the product of the
+    column multinomials down through one factorial table.  Every table
+    reached is a term."""
     spec, n = _code_shape(codes)
     q = spec.q
     g = len(codes)
@@ -136,15 +137,16 @@ def avg_gfold_closedform(
     )
     check_budget(tables * ncells, budget, "closed-form average")
 
+    fact = [math.factorial(i) for i in range(n + 1)]
     terms: dict[tuple[int, ...], Fraction] = {}
     for s1, a1 in cen1.items():
         rows = [z for z in range(q) if s1[z]]
         row_sums = [s1[z] for z in rows]
         offsets = [z * tail_cells for z in rows]
-        denom = multinomial(n, s1)
+        denom = fact[n] // math.prod(map(fact.__getitem__, row_sums))
         for tail, a_tail in tail_counts.items():
             cols = [b for b in range(tail_cells) if tail[b]]
-            for table, num in _margin_tables(row_sums, [tail[b] for b in cols]):
+            for table, num in _margin_tables(row_sums, [tail[b] for b in cols], fact):
                 eta = [0] * ncells
                 for b, column in zip(cols, table):
                     for off, e in zip(offsets, column):
@@ -153,22 +155,26 @@ def avg_gfold_closedform(
     return EnumeratorPolynomial._from_kernel(spec, g, n, terms)
 
 
-def _margin_tables(row_sums, col_sums):
+def _margin_tables(row_sums, col_sums, fact):
     """Every non-negative integer table with these positive row and column
-    sums (equal totals), as (columns, prod_b mult(col_sums[b]; column b)).
-    Depth first, one column at a time; each column is a composition of its
-    sum capped by the row capacity left, so every branch completes, and the
-    last column takes what is left."""
+    sums (equal totals), as (columns, prod_b mult(col_sums[b]; column b)),
+    with fact[i] = i! up to the total.  Depth first, one column at a time;
+    each column is a composition of its sum capped by the row capacity left,
+    so every branch completes, and the last column takes what is left.  A
+    branch carries the product of its entries' factorials, and the product
+    of the column sums' factorials is divided by it once per table."""
     last = len(col_sums) - 1
+    fac = fact.__getitem__
+    top = math.prod(map(fac, col_sums))
     stack = [(0, tuple(row_sums), (), 1)]
     while stack:
-        j, left, columns, num = stack.pop()
+        j, left, columns, den = stack.pop()
         if j == last:
-            yield columns + (left,), num * multinomial(col_sums[j], left)
+            yield columns + (left,), top // (den * math.prod(map(fac, left)))
             continue
         for column in _capped_compositions(col_sums[j], left):
             rest = tuple(map(operator.sub, left, column))
-            stack.append((j + 1, rest, columns + (column,), num * multinomial(col_sums[j], column)))
+            stack.append((j + 1, rest, columns + (column,), den * math.prod(map(fac, column))))
 
 
 def _capped_compositions(total: int, caps):

@@ -9,6 +9,13 @@ whose serialization embeds the instance code files, so any reported
 discrepancy can be replayed from the report alone.  All sweeps pick their
 instances the same way: exhaustive when affordable, else seeded draws.
 
+Shared work is done once: a transform sweep computes each ordered code
+pair's enumerator once per cell, and a report formats each distinct code
+file once.  The report text is json.dumps(doc, indent=2) + "\n" of
+ClaimCheck.to_doc(), written directly.  Its size is counted in characters
+against the budget as instances are recorded, and run_claim raises
+CapacityError once it is over, before any text is written.
+
 Assertive claims are expected to hold on every instance (the plain and
 averaged character-sum identities, and the closed form at q = 2); the
 remaining claims are report-only: their sweeps document what the two routes
@@ -22,7 +29,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .capacity import DEFAULT_BUDGET
+from .capacity import DEFAULT_BUDGET, CapacityError
 from .averages import (
     avg_cjwe_bruteforce,
     avg_gfold_bruteforce,
@@ -62,11 +69,17 @@ class ClaimCheck:
     unequal_count: int = 0
     assertive: bool = False
     passed: bool = True
+    # Code file text per distinct code: a report formats each code once.
+    _code_texts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, description: str, codes: list[LinearCode], equal: bool, **extra):
+        texts = self._code_texts
+        for c in codes:
+            if c not in texts:
+                texts[c] = format_code_file(c)
         entry = {
             "description": description,
-            "codes": [format_code_file(c) for c in codes],
+            "codes": [texts[c] for c in codes],
             "equal": equal,
         }
         entry.update(extra)
@@ -95,7 +108,47 @@ class ClaimCheck:
         }
 
     def to_text(self) -> str:
-        return json.dumps(self.to_doc(), indent=2) + "\n"
+        """json.dumps(self.to_doc(), indent=2) + "\n", written directly."""
+        return _json_text(self.to_doc(), "\n", _Strings()) + "\n"
+
+
+class _Strings(dict):
+    """JSON literals of the strings one report writes, each encoded once."""
+
+    def __missing__(self, s):
+        text = self[s] = json.encoder.encode_basestring_ascii(s)
+        return text
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(value, pad: str, strings: _Strings) -> str:
+    """The json.dumps(indent=2) text of a value nested at pad (a newline and
+    its indentation): dicts with str keys, lists, tuples, str, int, bool and
+    None."""
+    kind = type(value)
+    if kind is str:
+        return strings[value]
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [f"{strings[k]}: {_json_text(v, inner, strings)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if kind is not list and kind is not tuple:
+        raise TypeError(f"{kind.__name__} is not written in reports")
+    if not value:
+        return "[]"
+    if set(map(type, value)) == {int}:  # exponent cells, the bulk of a large report
+        items = map(int.__repr__, value)
+    else:
+        items = [_json_text(v, inner, strings) for v in value]
+    return f"[{inner}{(',' + inner).join(items)}{pad}]"
 
 
 # -- instance selection ---------------------------------------------------------
@@ -143,18 +196,28 @@ def _cell_seed(seed: int, q: int, n: int) -> int:
 def _sweep_transform(row, spec, n, g, trials, seed, budget):
     """Each of the row's variants of the pair transform against the
     enumerator of the dualized pair; the enumerator is the joint one, or the
-    brute-force average for an averaged row."""
+    brute-force average for an averaged row.  Each ordered pair's enumerator
+    is computed once per cell: in an exhaustive cell every dualized pair is a
+    pool pair too."""
     q = spec.q
     pairs, mode = _code_tuples(spec, n, 2, (q * q) ** n * q ** (2 * n), trials, seed, _draw_pair)
-    enumerator = avg_cjwe_bruteforce if row.averaged else cjwe
+    kernel = avg_cjwe_bruteforce if row.averaged else cjwe
+    memo = {}
+
+    def enumerator(c1, c2):
+        key = (c1.generators, c2.generators)
+        if key not in memo:
+            memo[key] = kernel(c1, c2, budget=budget)
+        return memo[key]
+
     for c1, c2 in pairs:
-        base = enumerator(c1, c2, budget=budget)
+        base = enumerator(c1, c2)
         verdicts = {}
         for variant in row.variants:
             got = macwilliams_transform(base, variant, (c1.size, c2.size), budget=budget)
             d1 = c1 if variant == "second" else c1.dual()
             d2 = c2 if variant == "first" else c2.dual()
-            verdicts[variant] = got == enumerator(d1, d2, budget=budget)
+            verdicts[variant] = got == enumerator(d1, d2)
         yield mode, [c1, c2], all(verdicts.values()), {"variants": verdicts}
 
 
@@ -204,6 +267,16 @@ def _sweep_lemma42(row, spec, n, g, trials, seed, budget):
         result = per_code[code_i][comps[r_i]]
         extra = {"r": list(comps[r_i]), "lhs": result.lhs, "rhs": result.rhs}
         yield mode, [pool[code_i]], result.equal, extra
+
+
+def _text_size(entry: dict) -> int:
+    """A lower bound on the characters an instance writes in the report: 75
+    for its fixed members, its description and code texts, and one indented
+    line of 14 or more characters per exponent cell of each difference row,
+    the bulk of a large report."""
+    rows = entry.get("differences", ())
+    cells = sum(len(row["exp"]) for row in rows)
+    return 75 + len(entry["description"]) + sum(map(len, entry["codes"])) + 14 * cells
 
 
 # -- the claim table ----------------------------------------------------------------
@@ -270,10 +343,16 @@ def run_claim(
         tag = f" g={g}"
     check = ClaimCheck(claim, params)
 
+    size = 0
     for qq, nn in cells:
         sweep = row.sweep(row, field_for_q(qq), nn, g, trials, _cell_seed(seed, qq, nn), budget)
         for i, (mode, codes, equal, extra) in enumerate(sweep):
             check.add(f"q={qq} n={nn}{tag} {mode} #{i}", codes, equal, **extra)
+            size += _text_size(check.instances[-1])
+            if size > budget:
+                raise CapacityError(
+                    f"the {claim} report needs about {size} characters, over the budget of {budget}"
+                )
 
     at_q2 = row.assertive == "q=2" and all(qq == 2 for qq in qs)
     check.finish(row.assertive == "always" or at_q2)

@@ -255,6 +255,20 @@ def test_lemma_sweeps_at_q16_n4_end_in_time(capsys, claim):
         assert json.loads(out)["instances"][0]["description"] == "q=16 n=4 random:10 #0"
 
 
+def test_report_over_budget_exit_3(capsys):
+    # Every kernel of the cell fits a budget of 5,000 steps (the largest
+    # estimate is 405), but its report text, 36 instances with difference
+    # rows of 9 cells each, does not: the sweep refuses before writing it.
+    start = time.perf_counter()
+    rc = main(["verify", "thm43", "--q", "3", "--n", "2", "--budget", "5000"])
+    assert rc == 3
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("capacity: the thm43 report needs about ")
+    assert "characters, over the budget of 5000" in captured.err
+
+
 def _python(*args) -> subprocess.CompletedProcess:
     """A fresh interpreter with this checkout's src on its path."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"

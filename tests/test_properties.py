@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st  # noqa: E402
 
-from weightenum import EnumeratorPolynomial, compare, field_for_q  # noqa: E402
+from weightenum import ClaimCheck, EnumeratorPolynomial, compare, field_for_q  # noqa: E402
 
 # (q, fold) shapes with at most 16 cells.
 _SHAPES = [(2, 1), (3, 1), (4, 1), (5, 1), (7, 1), (16, 1), (2, 2), (3, 2), (4, 2), (2, 3)]
@@ -50,3 +50,46 @@ def test_canonical_text_is_json_dumps_and_round_trips(pair):
         assert again == poly and again.to_text() == text
     report = compare(*pair)
     assert report.to_text() == json.dumps(report.to_doc(), indent=2) + "\n"
+
+
+# Report strings: any text (quotes, backslashes, non-ASCII), and code-file
+# texts, which always hold newlines.
+_TEXT = st.text(max_size=10)
+_CODE_TEXT = st.text(alphabet="field p=m12357\ngn ,", max_size=30).map(lambda t: t + "\n")
+_INTS = st.lists(st.integers(-5, 300), max_size=4)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=4,
+)
+_INSTANCES = st.fixed_dictionaries(
+    {"description": _TEXT, "codes": st.lists(_CODE_TEXT, max_size=3), "equal": st.booleans()},
+    optional={
+        "variants": st.dictionaries(st.sampled_from(["first", "second", "both"]), st.booleans()),
+        "differences": st.lists(
+            st.fixed_dictionaries({"exp": _INTS, "left": _TEXT, "right": _TEXT}), max_size=3
+        ),
+        "matrix": st.fixed_dictionaries({"perm": _INTS, "diag": _INTS}),
+        "r": _INTS,
+        "lhs": st.integers(0, 10**12),
+        "rhs": st.integers(0, 10**12),
+        "other": _VALUES,
+    },
+)
+_PARAMETERS = st.fixed_dictionaries(
+    {
+        "q": st.none() | st.integers(2, 16),
+        "n": st.none() | st.integers(1, 16),
+        "trials": st.none() | st.integers(1, 100),
+        "seed": st.integers(-(2**40), 2**40),
+        "cells": st.lists(st.lists(st.integers(1, 16), min_size=2, max_size=2), max_size=4),
+    },
+    optional={"g": st.integers(1, 5)},
+)
+
+
+@given(_TEXT, _PARAMETERS, st.lists(_INSTANCES, max_size=3), st.booleans(), st.booleans())
+def test_claim_report_text_is_json_dumps(claim, parameters, instances, assertive, passed):
+    equal = sum(1 for inst in instances if inst["equal"])
+    check = ClaimCheck(claim, parameters, instances, equal, len(instances) - equal, assertive, passed)
+    assert check.to_text() == json.dumps(check.to_doc(), indent=2) + "\n"

@@ -1,8 +1,9 @@
 """The canonical text writer against json.dumps(doc, indent=2).
 
-EnumeratorPolynomial.to_text and AverageReport.to_text write their JSON
-directly; these tests hold every text they write byte-identical to the
-json.dumps rendering of the matching to_doc() and round-trip it.  The
+EnumeratorPolynomial.to_text, AverageReport.to_text and ClaimCheck.to_text
+write their JSON directly; these tests hold every text they write
+byte-identical to the json.dumps rendering of the matching to_doc() and
+round-trip it.  The
 frozen SHA-256 pins in the other test modules are the end-to-end check.
 """
 
@@ -15,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from weightenum import (
+    CLAIMS,
     EnumeratorPolynomial,
     FieldSpec,
     avg_gfold_bruteforce,
@@ -24,6 +26,7 @@ from weightenum import (
     gfold_cjwe,
     monomial_group_order,
     random_code,
+    run_claim,
 )
 
 F2 = FieldSpec(2, 1)
@@ -91,3 +94,21 @@ def test_writer_on_reports_that_agree_and_differ():
     differ = compare(p, r)
     assert len(differ.differences) == 3
     _assert_json_dumps_text(differ)
+
+
+# Each claim's default grid, and one cell for each kind of instance member:
+# transform variants, non-empty difference rows, a matrix, r/lhs/rhs, g in
+# the parameters, and a seeded --trials cell.
+_REPORTS = [(claim, {}) for claim in CLAIMS] + [
+    ("macwilliams", dict(q=2, n=2)),
+    ("thm43", dict(q=3, n=2)),
+    ("lemma31", dict(q=2, n=3)),
+    ("lemma42", dict(q=3, n=2)),
+    ("thm52", dict(q=2, n=2, g=2)),
+    ("thm33ii", dict(q=3, n=2, trials=4, seed=5)),
+]
+
+
+@pytest.mark.parametrize("claim,kwargs", _REPORTS)
+def test_claim_report_writer_matches_json_dumps(claim, kwargs):
+    _assert_json_dumps_text(run_claim(claim, **kwargs))

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from weightenum import CLAIMS, run_claim
+import weightenum.verify as verify
+from weightenum import CLAIMS, CapacityError, all_codes, field_for_q, run_claim
 
 
 def test_claim_list():
@@ -166,3 +167,57 @@ def test_frozen_draw_orders(claim, kwargs, digest):
     # pinned too.  Reports must stay byte-identical.
     text = run_claim(claim, **kwargs).to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _counting(monkeypatch, name):
+    """Replace verify.<name> with a wrapper that records each call's first
+    arguments; returns the list of recorded calls."""
+    calls = []
+    kernel = getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("claim,kernel", [("macwilliams", "cjwe"), ("thm33i", "avg_cjwe_bruteforce")])
+def test_exhaustive_transform_cell_runs_each_pair_enumerator_once(monkeypatch, claim, kernel):
+    # Every dualized pair of an exhaustive cell is itself a pool pair, so the
+    # kernel runs once per ordered pool pair, and never twice on one pair.
+    calls = _counting(monkeypatch, kernel)
+    check = run_claim(claim, q=2, n=2)
+    pool = len(list(all_codes(field_for_q(2), 2)))
+    assert pool == 5 and check.equal_count == pool**2
+    assert len(calls) == pool**2
+    assert len({(c1.generators, c2.generators) for c1, c2 in calls}) == pool**2
+
+
+@pytest.mark.parametrize("claim,kwargs", [
+    ("macwilliams", dict(q=2, n=2)),
+    ("thm52", dict(q=2, n=2, g=2)),
+    ("lemma31", dict(q=3, n=2)),
+    ("thm43", dict(q=3, n=2, trials=6, seed=3)),
+])
+def test_each_code_file_is_formatted_once_per_report(monkeypatch, claim, kwargs):
+    calls = _counting(monkeypatch, "format_code_file")
+    check = run_claim(claim, **kwargs)
+    formatted = [args[0] for args in calls]
+    assert len(formatted) == len(set(formatted))
+    texts = {text for inst in check.instances for text in inst["codes"]}
+    assert len(formatted) == len(texts)
+    # A second report formats its codes again.
+    run_claim(claim, **kwargs)
+    assert len(calls) == 2 * len(texts)
+
+
+def test_report_over_budget_is_refused():
+    # The kernels of this cell need at most 405 steps; its report text does
+    # not fit in 5,000 characters.
+    with pytest.raises(CapacityError, match="the thm43 report needs about .* characters"):
+        run_claim("thm43", q=3, n=2, budget=5000)
+    # The estimate is a lower bound: a budget of the text's own length passes.
+    text = run_claim("thm43", q=3, n=2).to_text()
+    assert run_claim("thm43", q=3, n=2, budget=len(text)).to_text() == text
