@@ -25,9 +25,9 @@ produce without asserting agreement.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .capacity import DEFAULT_BUDGET, CapacityError
 from .averages import (
@@ -60,6 +60,14 @@ _EXHAUSTIVE_STEP_CAP = 2_000_000
 _AUTO_TRIALS = 10
 
 
+class _CodeTexts(dict):
+    """Code file text per distinct code: a report formats each code once."""
+
+    def __missing__(self, code):
+        text = self[code] = format_code_file(code)
+        return text
+
+
 @dataclass
 class ClaimCheck:
     claim: str
@@ -69,17 +77,12 @@ class ClaimCheck:
     unequal_count: int = 0
     assertive: bool = False
     passed: bool = True
-    # Code file text per distinct code: a report formats each code once.
-    _code_texts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _code_texts: dict = field(default_factory=_CodeTexts, init=False, repr=False, compare=False)
 
     def add(self, description: str, codes: list[LinearCode], equal: bool, **extra):
-        texts = self._code_texts
-        for c in codes:
-            if c not in texts:
-                texts[c] = format_code_file(c)
         entry = {
             "description": description,
-            "codes": [texts[c] for c in codes],
+            "codes": list(map(self._code_texts.__getitem__, codes)),
             "equal": equal,
         }
         entry.update(extra)
@@ -109,36 +112,27 @@ class ClaimCheck:
 
     def to_text(self) -> str:
         """json.dumps(self.to_doc(), indent=2) + "\n", written directly."""
-        return _json_text(self.to_doc(), "\n", _Strings()) + "\n"
+        return _json_text(self.to_doc(), "\n") + "\n"
 
 
-class _Strings(dict):
-    """JSON literals of the strings one report writes, each encoded once."""
-
-    def __missing__(self, s):
-        text = self[s] = json.encoder.encode_basestring_ascii(s)
-        return text
-
-
-_LITERALS = {True: "true", False: "false", None: "null"}
-
-
-def _json_text(value, pad: str, strings: _Strings) -> str:
+def _json_text(value, pad: str) -> str:
     """The json.dumps(indent=2) text of a value nested at pad (a newline and
     its indentation): dicts with str keys, lists, tuples, str, int, bool and
     None."""
     kind = type(value)
     if kind is str:
-        return strings[value]
+        return encode_basestring_ascii(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is bool or value is None:
-        return _LITERALS[value]
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
     inner = pad + "  "
     if kind is dict:
         if not value:
             return "{}"
-        items = [f"{strings[k]}: {_json_text(v, inner, strings)}" for k, v in value.items()]
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
         return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
     if kind is not list and kind is not tuple:
         raise TypeError(f"{kind.__name__} is not written in reports")
@@ -147,7 +141,7 @@ def _json_text(value, pad: str, strings: _Strings) -> str:
     if set(map(type, value)) == {int}:  # exponent cells, the bulk of a large report
         items = map(int.__repr__, value)
     else:
-        items = [_json_text(v, inner, strings) for v in value]
+        items = [_json_text(v, inner) for v in value]
     return f"[{inner}{(',' + inner).join(items)}{pad}]"
 
 
@@ -274,9 +268,10 @@ def _text_size(entry: dict) -> int:
     for its fixed members, its description and code texts, and one indented
     line of 14 or more characters per exponent cell of each difference row,
     the bulk of a large report."""
-    rows = entry.get("differences", ())
-    cells = sum(len(row["exp"]) for row in rows)
-    return 75 + len(entry["description"]) + sum(map(len, entry["codes"])) + 14 * cells
+    size = 75 + len(entry["description"]) + sum(map(len, entry["codes"]))
+    for row in entry.get("differences", ()):
+        size += 14 * len(row["exp"])
+    return size
 
 
 # -- the claim table ----------------------------------------------------------------
