@@ -2,9 +2,9 @@
 
 EnumeratorPolynomial.to_text, AverageReport.to_text and ClaimCheck.to_text
 write their JSON directly; these tests hold every text they write
-byte-identical to the json.dumps rendering of the matching to_doc() and
-round-trip it.  The
-frozen SHA-256 pins in the other test modules are the end-to-end check.
+byte-identical to the json.dumps rendering of the matching to_doc(), and
+round-trip the polynomial texts.  The frozen SHA-256 pins in the other test
+modules are the end-to-end check.
 """
 
 import itertools
