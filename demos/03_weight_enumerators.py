@@ -30,7 +30,7 @@ span = LinearCode(f3, 2, [(1, 1)])
 poly = cwe(span)
 cen = census([span])
 print("\ncwe of F_3 span{(1,1)}:", poly.pretty())
-print("census counts:", dict(sorted(cen.counts.items())))
+print("census counts:", dict(sorted(cen.items())))
 
 # The joint enumerator against the zero code collapses to the plain one.
 zero = LinearCode(f3, 2, [])

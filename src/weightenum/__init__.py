@@ -6,7 +6,7 @@ Submodules
     field         arithmetic in F_q, q = p^m <= 16, canonical element order
     cyclotomic    exact values in Q(zeta_p); the additive character chi
     codes         linear codes in rref form, duals, monomial matrices, code files
-    compositions  composition profiles and the joint-profile census
+    compositions  composition profiles (tuples) and the {profile: count} census
     polynomials   sparse enumerators, character-sum transforms, serialization
     averages      monomial-group averages: brute force, closed form, comparator
     verify        claim sweeps with replayable reports
@@ -31,12 +31,7 @@ from .codes import (
     parse_code_file,
     random_code,
 )
-from .compositions import (
-    Census,
-    CompositionProfile,
-    census,
-    iter_compositions,
-)
+from .compositions import census, iter_compositions
 from .polynomials import (
     EnumeratorPolynomial,
     cjwe,

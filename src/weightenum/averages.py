@@ -25,14 +25,7 @@ from fractions import Fraction
 
 from .capacity import DEFAULT_BUDGET, check_budget
 from .codes import LinearCode, MonomialMatrix, apply_monomial_code, monomial_group_order
-from .compositions import (
-    CompositionProfile,
-    _code_shape,
-    census,
-    count_profiles,
-    iter_compositions,
-    tail_indices,
-)
+from .compositions import _code_shape, census, count_profiles, iter_compositions, tail_indices
 from .polynomials import EnumeratorPolynomial, _term_list_text, macwilliams_transform
 
 
@@ -125,11 +118,11 @@ def avg_gfold_closedform(
     g = len(codes)
     ncells = q**g
     tail_cells = q ** (g - 1)
-    cen1 = census([codes[0]], budget=budget).counts
+    cen1 = census([codes[0]], budget=budget)
     if g == 1:
         tail_counts = {(n,): 1}
     else:
-        tail_counts = census(codes[1:], budget=budget).counts
+        tail_counts = census(codes[1:], budget=budget)
     # Tables with different row sums are disjoint, so the tables with column
     # sums tail number at most the free fillings of its columns.
     tables = sum(
@@ -218,8 +211,6 @@ def avg_macwilliams(
 class AverageReport:
     """Exact term-by-term comparison of two enumerators of the same shape."""
 
-    left: EnumeratorPolynomial
-    right: EnumeratorPolynomial
     differences: list[tuple[tuple[int, ...], Fraction, Fraction]]
     agreed: bool
 
@@ -254,7 +245,7 @@ def compare(left: EnumeratorPolynomial, right: EnumeratorPolynomial) -> AverageR
     exps = [e for e, c in lt.items() if rt.get(e, zero) != c]
     exps += [e for e, c in rt.items() if e not in lt and c]
     diffs = [(e, lt.get(e, zero), rt.get(e, zero)) for e in sorted(exps)]
-    return AverageReport(left, right, diffs, not diffs)
+    return AverageReport(diffs, not diffs)
 
 
 # -- claim checkers -----------------------------------------------------------------
@@ -323,7 +314,7 @@ def lemma42_results(code: LinearCode, *, budget: int = DEFAULT_BUDGET) -> dict:
 def check_lemma42(code: LinearCode, r, *, budget: int = DEFAULT_BUDGET) -> Lemma42Result:
     """Lemma 4.2 at one composition r of n into q cells (see lemma42_results)."""
     results = lemma42_results(code, budget=budget)
-    r_key = r.counts if isinstance(r, CompositionProfile) else tuple(r)
-    if r_key not in results:
-        raise ValueError(f"{r_key} is not a composition of {code.n} into {code.spec.q} cells")
-    return results[r_key]
+    r = tuple(r)
+    if r not in results:
+        raise ValueError(f"{r} is not a composition of {code.n} into {code.spec.q} cells")
+    return results[r]

@@ -161,10 +161,6 @@ class MonomialMatrix:
         if len(self.diag) != self.n or any(not (1 <= d < self.spec.q) for d in self.diag):
             raise ValueError("diag entries must be nonzero element indices")
 
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> MonomialMatrix:
-        return cls(spec, n, tuple(range(n)), (1,) * n)
-
     def apply(self, word) -> tuple[int, ...]:
         if len(word) != self.n:
             raise ValueError(f"word of length {len(word)}, expected {self.n}")
@@ -324,6 +320,16 @@ def all_codes(spec: FieldSpec, n: int):
                 for (r, c), v in zip(free, values):
                     rows[r][c] = v
                 yield LinearCode(spec, n, rows)
+
+
+def code_count(spec: FieldSpec, n: int) -> int:
+    """How many codes all_codes(spec, n) yields, without listing them: the
+    Gaussian binomials [n, k]_q summed over k, through the recurrence
+    G_{m+1} = 2 G_m + (q^m - 1) G_{m-1} from G_0 = 1, G_1 = 2."""
+    before, count = 0, 1
+    for m in range(n):
+        before, count = count, 2 * count + (spec.q**m - 1) * before
+    return count
 
 
 def random_code(spec: FieldSpec, n: int, k: int, seed: int) -> LinearCode:

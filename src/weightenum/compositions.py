@@ -6,39 +6,20 @@ element indices, so cell (a_1, ..., a_g) sits at index
 
     a_1 * q^(g-1) + a_2 * q^(g-2) + ... + a_g,
 
-and a profile is a dense tuple of q^g counts in that order.  The same
-tuples index enumerator polynomial variables and census keys.
-count_profiles is the one loop that counts profiles of word tuples, for the
-census and for the brute-force average.
+and a profile is a plain dense tuple of q^g counts in that order.  The
+same tuples index enumerator polynomial variables and census keys: a
+census is a {profile: count} dict.  count_profiles is the one loop that
+counts profiles of word tuples, for the census and for the brute-force
+average.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .capacity import DEFAULT_BUDGET, check_budget
 from .codes import LinearCode
 from .field import FieldSpec
-
-
-@dataclass(frozen=True)
-class CompositionProfile:
-    q: int
-    fold: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.q**self.fold:
-            raise ValueError(
-                f"profile needs {self.q ** self.fold} cells, got {len(self.counts)}"
-            )
-        if any(c < 0 for c in self.counts):
-            raise ValueError("cell counts must be non-negative")
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
 
 
 def iter_compositions(total: int, cells: int):
@@ -48,23 +29,6 @@ def iter_compositions(total: int, cells: int):
     end = total + cells - 1
     for bars in itertools.combinations(range(end), cells - 1):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
-
-
-@dataclass
-class Census:
-    """Exact counts of codeword tuples per composition profile."""
-
-    q: int
-    fold: int
-    n: int
-    counts: dict
-
-    def count(self, profile) -> int:
-        key = profile.counts if isinstance(profile, CompositionProfile) else tuple(profile)
-        return self.counts.get(key, 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def tail_indices(word_lists, q: int, n: int) -> list[list[int]]:
@@ -107,8 +71,9 @@ def _code_shape(codes) -> tuple[FieldSpec, int]:
     return spec, n
 
 
-def census(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> Census:
-    """Joint profile census of tuples from the product of the given codes."""
+def census(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> dict[tuple[int, ...], int]:
+    """Joint profile census of tuples from the product of the given codes:
+    {profile: number of codeword tuples with it}, absent profiles at 0."""
     spec, n = _code_shape(codes)
     q = spec.q
     g = len(codes)
@@ -120,5 +85,4 @@ def census(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> Census:
     word_lists = [c.codeword_list(budget=budget) for c in codes]
     stride = q ** (g - 1)
     heads = [([a * stride for a in w], 1) for w in word_lists[0]]
-    counts = count_profiles(heads, tail_indices(word_lists[1:], q, n), q**g)
-    return Census(q, g, n, counts)
+    return count_profiles(heads, tail_indices(word_lists[1:], q, n), q**g)

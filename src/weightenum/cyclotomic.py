@@ -64,10 +64,6 @@ def _vec_mul(p: int, a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _vec_is_rational(v: tuple) -> bool:
-    return all(x == 0 for x in v[1:])
-
-
 # -- public value type --------------------------------------------------------
 
 
@@ -123,21 +119,9 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def is_rational(self) -> bool:
-        return _vec_is_rational(self.coeffs)
-
-    def to_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
     def to_strings(self) -> list[str]:
         """Serialize as "<num>/<den>" strings, lowest terms, positive denominator."""
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, p: int, items: list[str]) -> CyclotomicNumber:
-        return cls(p, tuple(Fraction(s) for s in items))
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber(p={self.p}, {self.to_strings()})"

@@ -199,9 +199,8 @@ def cjwe(c1: LinearCode, c2: LinearCode, *, budget: int = DEFAULT_BUDGET) -> Enu
 def gfold_cjwe(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> EnumeratorPolynomial:
     """Joint enumerator of g codes: sum over codeword tuples of the monomial
     recording their fold-g composition profile, counted by the census."""
-    cen = census(codes, budget=budget)
-    terms = {e: Fraction(c) for e, c in cen.counts.items()}
-    return EnumeratorPolynomial._from_kernel(codes[0].spec, cen.fold, cen.n, terms)
+    terms = {e: Fraction(c) for e, c in census(codes, budget=budget).items()}
+    return EnumeratorPolynomial._from_kernel(codes[0].spec, len(codes), codes[0].n, terms)
 
 
 # -- character-sum transforms -----------------------------------------------------

@@ -41,15 +41,15 @@ from .averages import (
 from .codes import (
     LinearCode,
     all_codes,
+    code_count,
     format_code_file,
     monomial_at,
-    monomial_group,
     monomial_group_order,
     random_code,
 )
 from .compositions import iter_compositions
 from .field import field_for_q
-from .polynomials import TRANSFORM_VARIANTS, cjwe, macwilliams_transform
+from .polynomials import _SLOTS, TRANSFORM_VARIANTS, cjwe, macwilliams_transform
 
 DEFAULT_GRID_Q = (2, 3, 4)
 DEFAULT_GRID_N = (1, 2, 3)
@@ -173,10 +173,10 @@ def _draw_tuple(spec, n, g, rng) -> list[LinearCode]:
 
 def _code_tuples(spec, n, g, est_per_tuple, trials, seed, draw):
     """g-tuples of codes, each a list (the kernels' code-list form); the pool
-    of all codes is built only when the sweep may be exhaustive."""
-    pool = list(all_codes(spec, n)) if trials is None else []
-    return _instances(trials, seed, len(pool) ** g * est_per_tuple,
-                      lambda: [list(t) for t in itertools.product(pool, repeat=g)],
+    of all codes is counted for the estimate and listed only when the sweep
+    is exhaustive."""
+    return _instances(trials, seed, code_count(spec, n) ** g * est_per_tuple,
+                      lambda: [list(t) for t in itertools.product(all_codes(spec, n), repeat=g)],
                       lambda rng: draw(spec, n, g, rng))
 
 
@@ -209,9 +209,8 @@ def _sweep_transform(row, spec, n, g, trials, seed, budget):
         verdicts = {}
         for variant in row.variants:
             got = macwilliams_transform(base, variant, (c1.size, c2.size), budget=budget)
-            d1 = c1 if variant == "second" else c1.dual()
-            d2 = c2 if variant == "first" else c2.dual()
-            verdicts[variant] = got == enumerator(d1, d2)
+            duals = [c.dual() if i in _SLOTS[variant] else c for i, c in enumerate((c1, c2))]
+            verdicts[variant] = got == enumerator(*duals)
         yield mode, [c1, c2], all(verdicts.values()), {"variants": verdicts}
 
 
@@ -230,17 +229,22 @@ def _sweep_average(row, spec, n, g, trials, seed, budget):
 
 
 def _sweep_lemma31(row, spec, n, g, trials, seed, budget):
-    """(code, matrix) pairs; a pair's check is costed at 400 steps."""
+    """Draw j is (pool[j // order], monomial_at(spec, n, j % order)); each
+    matrix is decoded once per cell, and a pair's check is costed at 400
+    steps."""
     pool = list(all_codes(spec, n))
     order = monomial_group_order(spec, n)
-    pairs, mode = _instances(
-        trials, seed, len(pool) * order * 400,
-        lambda: itertools.product(pool, monomial_group(spec, n, budget=budget)),
-        lambda rng: (pool[rng.randrange(len(pool))], monomial_at(spec, n, rng.randrange(order))),
-    )
-    for c, M in pairs:
-        result = check_lemma31(c, M)
-        yield mode, [c], result.equal, {"matrix": {"perm": list(M.perm), "diag": list(M.diag)}}
+    draws, mode = _instances(trials, seed, len(pool) * order * 400,
+                             lambda: range(len(pool) * order),
+                             lambda rng: rng.randrange(len(pool)) * order + rng.randrange(order))
+    matrices = {}
+    for j in draws:
+        code_i, m_i = divmod(j, order)
+        if m_i not in matrices:
+            matrices[m_i] = monomial_at(spec, n, m_i)
+        M = matrices[m_i]
+        extra = {"matrix": {"perm": list(M.perm), "diag": list(M.diag)}}
+        yield mode, [pool[code_i]], check_lemma31(pool[code_i], M).equal, extra
 
 
 def _sweep_lemma42(row, spec, n, g, trials, seed, budget):

@@ -255,6 +255,33 @@ def test_lemma_sweeps_at_q16_n4_end_in_time(capsys, claim):
         assert json.loads(out)["instances"][0]["description"] == "q=16 n=4 random:10 #0"
 
 
+def test_pair_sweeps_at_q2_n9_end_in_time(capsys):
+    # The pool of 8,283,458 codes is counted, not listed, before a sweep
+    # falls back to seeded draws.
+    start = time.perf_counter()
+    rc = main(["verify", "macwilliams", "--q", "2", "--n", "9"])
+    assert rc == 0
+    assert time.perf_counter() - start < 5.0
+    assert json.loads(capsys.readouterr().out)["aggregate"]["instances"] == 10
+    for claim in ("thm43", "thm33i", "thm52"):
+        start = time.perf_counter()
+        rc = main(["verify", claim, "--q", "2", "--n", "9"])
+        assert rc == 3
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().err.startswith("capacity: ")
+
+
+def test_lemma31_budget_refusal_exit_3(capsys):
+    # The sweep lists no group elements; the first instance's report text
+    # (about 114 characters) is what passes the budget of 10.
+    rc = main(["verify", "lemma31", "--q", "3", "--n", "2", "--budget", "10"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("capacity: the lemma31 report needs about ")
+    assert "Traceback" not in captured.err
+
+
 def test_report_over_budget_exit_3(capsys):
     # Every kernel of the cell fits a budget of 5,000 steps (the largest
     # estimate is 405), but its report text, 36 instances with difference

@@ -16,7 +16,7 @@ from weightenum import (
     random_code,
 )
 
-from weightenum.codes import monomial_at
+from weightenum.codes import code_count, monomial_at
 
 from helpers import brute_dual_words, code_words, subspace_count
 
@@ -84,7 +84,7 @@ def test_dual_is_memoized_but_the_double_dual_is_recomputed():
 
 
 def test_apply_monomial_examples():
-    ident = MonomialMatrix.identity(F3, 2)
+    ident = MonomialMatrix(F3, 2, (0, 1), (1, 1))
     assert ident.apply((1, 2)) == (1, 2)
     swap = MonomialMatrix(F3, 2, (1, 0), (1, 1))
     assert swap.apply((1, 2)) == (2, 1)
@@ -94,7 +94,7 @@ def test_apply_monomial_examples():
 
 def test_apply_monomial_code_examples():
     c = LinearCode(F3, 2, [(1, 1)])
-    ident = MonomialMatrix.identity(F3, 2)
+    ident = MonomialMatrix(F3, 2, (0, 1), (1, 1))
     assert apply_monomial_code(c, ident) == c
     scale = MonomialMatrix(F3, 2, (0, 1), (1, 2))
     assert apply_monomial_code(c, scale) == LinearCode(F3, 2, [(1, 2)])
@@ -107,7 +107,7 @@ def test_monomial_validation():
         MonomialMatrix(F3, 2, (0, 0), (1, 1))
     with pytest.raises(ValueError):
         MonomialMatrix(F3, 2, (0, 1), (0, 1))
-    M = MonomialMatrix.identity(F3, 2)
+    M = MonomialMatrix(F3, 2, (0, 1), (1, 1))
     with pytest.raises(ValueError):
         M.apply((1, 2, 0))
 
@@ -138,7 +138,7 @@ def test_monomial_group_action_laws():
             for u in words:
                 assert m2.apply(m1.apply(u)) == comp.apply(u)
     for m in group:
-        assert m.then(m.inverse()) == MonomialMatrix.identity(F3, 2)
+        assert m.then(m.inverse()) == MonomialMatrix(F3, 2, (0, 1), (1, 1))
 
 
 def test_code_file_round_trip():
@@ -183,6 +183,15 @@ def test_all_codes_counts(q, n):
     codes = list(all_codes(spec, n))
     assert len(codes) == subspace_count(n, q)
     assert len(set(codes)) == len(codes)
+
+
+def test_code_count_matches_the_gaussian_binomials():
+    # The recurrence against the product formula, at every field and length.
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        spec = field_for_q(q)
+        assert [code_count(spec, n) for n in range(1, 17)] == [
+            subspace_count(n, q) for n in range(1, 17)
+        ]
 
 
 def test_random_code_determinism():

@@ -60,15 +60,6 @@ def test_character_orthogonality_exhaustive(q):
             assert total.is_zero()
 
 
-def test_rationality():
-    x = CyclotomicNumber.from_rational(3, Fraction(5, 7))
-    assert x.is_rational() and x.to_rational() == Fraction(5, 7)
-    y = zeta_pow(3, 1)
-    assert not y.is_rational()
-    with pytest.raises(ValueError):
-        y.to_rational()
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_serialization_round_trip(p):
     values = [
@@ -80,7 +71,7 @@ def test_serialization_round_trip(p):
     for v in values:
         strings = v.to_strings()
         assert all("/" in s for s in strings)
-        assert CyclotomicNumber.from_strings(p, strings) == v
+        assert CyclotomicNumber(p, strings) == v
 
 
 def test_validation():
