@@ -10,7 +10,9 @@ combination of variables weighted by values of the additive character,
 expand exactly, and rescale by the inverse code sizes.  Every transform is
 a composition of single-slot passes, one per dualized slot: chi(w2*a +
 w1*b) = chi(w2*a) * chi(w1*b), so the "both" character matrix is the
-tensor product of the two one-slot matrices.  A pass expands with integer
+tensor product of the two one-slot matrices, and the passes commute.  They
+run larger code first, so the intermediate of "both" is the enumerator
+with the smaller dual, not the larger one.  A pass expands with integer
 coefficients (in Z[zeta_p] for odd p), checks its own step estimate before
 it runs, and must leave rational coefficients; a non-rational residue is
 mathematically impossible and is reported as an internal error.
@@ -205,7 +207,8 @@ def gfold_cjwe(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> Enum
 
 # -- character-sum transforms -----------------------------------------------------
 
-# The slots each variant dualizes, in pass order: "both" is second after first.
+# The slots each variant dualizes, in slot order; their passes commute and
+# run larger code first.
 _SLOTS = {"first": (0,), "second": (1,), "both": (0, 1)}
 
 
@@ -220,68 +223,77 @@ def macwilliams_transform(
     the dualized tuple, scaled by the inverse size of each dualized code.
 
     which selects the dualized slots: "first" (slot 0), "second" (slot 1)
-    or "both" (slot 0, then slot 1).  sizes holds the sizes of the codes
-    the input was built from, up to the last dualized slot; any fold that
-    has that slot is accepted.  Coefficients are scaled to integers by their
-    common denominator, run through one _slot_pass per slot, and divided by
-    the denominator times the code sizes once at the end.  Exponents travel
-    packed one byte per cell and are unpacked once, at the end.
+    or "both" (slots 0 and 1).  sizes holds the positive sizes of the codes
+    the input was built from, up to the largest dualized slot; any fold
+    that has that slot is accepted.  One _slot_pass per slot runs, in
+    decreasing order of code size (ties in slot order), on coefficients
+    scaled to integers by their common denominator; the denominator times
+    the code sizes divides them at the end.  Exponents are packed one byte
+    per cell in each pass's fiber order: from the input, between passes,
+    and back to tuples at the end.
     """
     slots = _SLOTS.get(which)
     if slots is None:
         raise ValueError(f"unknown transform variant {which!r}")
-    if slots[-1] >= P.fold:
+    if max(slots) >= P.fold:
         raise ValueError("fold-1 polynomials only admit the 'first' transform")
     sizes = tuple(sizes)
-    if len(sizes) <= slots[-1]:
-        raise ValueError(f"the {which!r} transform needs the size of code {slots[-1] + 1}")
+    if len(sizes) <= max(slots):
+        raise ValueError(f"the {which!r} transform needs the size of code {max(slots) + 1}")
+    for s in map(sizes.__getitem__, slots):
+        if not hasattr(s, "__index__") or operator.index(s) < 1:
+            raise ValueError(f"code sizes must be positive integers, got {s!r}")
     if P.n > 255:  # code lengths are capped far lower; no code reaches this
         raise CapacityError(f"transform packs exponents in bytes; degree {P.n} is over 255")
-    width, order = P.spec.q**P.fold, sys.byteorder
+    q, ncells, order = P.spec.q, P.spec.q**P.fold, sys.byteorder
     denom = math.lcm(*(c.denominator for c in P.terms.values()))
-    terms = {int.from_bytes(bytes(e), order): c.numerator * (denom // c.denominator)
-             for e, c in P.terms.items()}
-    for slot in slots:
-        terms = _slot_pass(P.spec, P.fold, P.n, terms, slot, budget)
+    rows = ((e, c.numerator * (denom // c.denominator)) for e, c in P.terms.items())
+    at = range(ncells)  # the byte of each cell in the current keys
+    for slot in sorted(slots, key=lambda j: -sizes[j]):
+        stride = q ** (P.fold - 1 - slot)  # a fiber: q cells, stride apart
+        cells = [h + j + a * stride for h in range(0, ncells, q * stride)
+                 for j in range(stride) for a in range(q)]
+        get = operator.itemgetter(*[at[c] for c in cells])
+        terms = {int.from_bytes(bytes(get(e)), order): c for e, c in rows}
+        terms = _slot_pass(P.spec, ncells, P.n, terms, budget)
+        at = sorted(range(ncells), key=cells.__getitem__)
+        rows = ((k.to_bytes(ncells, order), c) for k, c in terms.items())
     denom *= math.prod(sizes[j] for j in slots)
-    out = {tuple(k.to_bytes(width, order)): Fraction(c, denom) for k, c in terms.items()}
-    return EnumeratorPolynomial._from_kernel(P.spec, P.fold, P.n, out)
+    fracs = {c: Fraction(c, denom) for c in set(terms.values())}
+    get = operator.itemgetter(*at)
+    return EnumeratorPolynomial._from_kernel(
+        P.spec, P.fold, P.n, {get(raw): fracs[c] for raw, c in rows})
 
 
-def _slot_pass(spec: FieldSpec, fold: int, n: int, terms: dict, slot: int, budget: int) -> dict:
+def _slot_pass(spec: FieldSpec, ncells: int, n: int, terms: dict, budget: int) -> dict:
     """x_a -> sum_w chi(w * a_slot) x_{a with a_slot := w} on integer terms
-    keyed by exponents packed one byte per cell.  A fiber is the q cells
-    differing only in the slot coordinate; each linear form stays in its
-    fiber.  Cells are packed fiber after fiber here, so combining fibers is
-    integer addition; a term waits in the bucket of its next nonzero fiber,
-    where equal exponents merge and cancel early.  Each distinct fiber is
-    expanded once, from the cached fiber with its first nonzero exponent
-    lowered by one.  For odd p coefficients are coordinates in
-    Z[x]/(x^p - 1), onto Z[zeta_p], B bits each.  The estimate bounds the
-    products (fiber expansions, then each term's running product of fiber
-    image sizes) plus the q^g-cell unpacking of a bound on the output."""
+    keyed by exponents packed one byte per cell in fiber order: a fiber is
+    the q cells differing only in the slot coordinate, and byte a of a fiber
+    holds the cell whose slot coordinate is a.  Each linear form stays in its
+    fiber, so combining fibers is integer addition; a term waits in the
+    bucket of its next nonzero fiber, where equal exponents merge and cancel
+    early.  Each distinct fiber is expanded once, from the cached fiber with
+    its first nonzero exponent lowered by one.  For odd p coefficients are
+    coordinates in Z[x]/(x^p - 1), onto Z[zeta_p], B bits each.  The
+    estimate bounds the products (fiber expansions, then each term's running
+    product of fiber image sizes) plus the q^g-cell unpacking of a bound on
+    the output; its walk also places each term in its first bucket.  The
+    result is keyed in the same fiber order."""
     p, q = spec.p, spec.q
-    ncells, stride = q**fold, q ** (fold - 1 - slot)
     m = [math.comb(d + q - 1, q - 1) for d in range(n + 1)]
     # m[a] * m[b] >= m[a + b]: each term costs m[n] or more, so refuse early.
     check_budget(len(terms) * m[n], budget, "enumerator transform")
-    order, span, fbits, nfib = sys.byteorder, q * stride, 8 * q, ncells // q
+    order, fbits, nfib = sys.byteorder, 8 * q, ncells // q
     fiber = (1 << fbits) - 1
-
-    def permute(packed: dict, slices) -> dict:
-        # The last slot's fibers are already contiguous in the natural order.
-        return packed if stride == 1 else {
-            int.from_bytes(b"".join([raw[s] for s in slices]), order): c
-            for k, c in packed.items() for raw in (k.to_bytes(ncells, order),)}
 
     def first(k):  # the index of k's first nonzero fiber, nfib for 0
         return ((k & -k).bit_length() - 1) // fbits if k else nfib
 
-    packed = permute(terms, [slice(h + j, h + span, stride) for h in range(0, ncells, span)
-                             for j in range(stride)])
+    buckets: list = [{} for _ in range(nfib + 1)]
     steps = images = 0
     degree: dict = {}  # distinct fiber exponents, by degree
-    for k in packed:
+    for k, c in terms.items():
+        buckets[first(k)][k] = c
         size = 1
         while k:
             shift = fbits * first(k)
@@ -338,9 +350,6 @@ def _slot_pass(spec: FieldSpec, fold: int, n: int, terms: dict, slot: int, budge
             img = local[s] = {k: r for k, x in prod.items() if (r := reduce(x))}
         return img
 
-    buckets: list = [{} for _ in range(nfib + 1)]
-    for k, c in packed.items():
-        buckets[first(k)][k] = c
     placed: dict = {}
     for i in range(nfib):
         shift, later = fbits * i, -1 << (fbits * (i + 1))
@@ -357,8 +366,7 @@ def _slot_pass(spec: FieldSpec, fold: int, n: int, terms: dict, slot: int, budge
                 key = rest + k2
                 target[key] = get(key, 0) + c * y
         buckets[i] = None
-    out = {k: v for k, c in buckets[nfib].items() if (v := value(c))}
-    return permute(out, [slice(h + a, h + span, q) for h in range(0, ncells, span) for a in range(q)])
+    return {k: v for k, c in buckets[nfib].items() if (v := value(c))}
 
 
 # -- substitutions ---------------------------------------------------------------

@@ -242,6 +242,16 @@ def test_large_transform_cell_ends_in_budget(capsys):
     capsys.readouterr()
 
 
+def test_thm33iii_at_q16_n2_ends_in_time(capsys):
+    # "both" dualizes the larger code first, so its intermediate is the
+    # enumerator with the smaller dual; slot 0 first takes over 1 s here.
+    start = time.perf_counter()
+    rc = main(["verify", "thm33iii", "--q", "16", "--n", "2", "--trials", "2"])
+    assert rc == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["aggregate"]["instances"] == 2
+
+
 @pytest.mark.parametrize("claim", ["lemma31", "lemma42"])
 def test_lemma_sweeps_at_q16_n4_end_in_time(capsys, claim):
     # Both sweeps sample by index (1.2M group elements, 78,901 codes times

@@ -243,6 +243,8 @@ def test_transform_argument_validation():
         macwilliams_transform(cwe(REP2), "second", (2, 2))
     with pytest.raises(ValueError):
         macwilliams_transform(base, "both", (2,))
+    # Only the dualized slots' sizes are read: "second" ignores size 1.
+    assert macwilliams_transform(base, "second", (None, SEL2.size)) == cjwe(REP2, SEL2.dual())
     # Any fold has slots 0 and 1: at g = 3 the passes dualize C1 and/or C2.
     c1, c2, c3 = SPAN3, LinearCode(F3, 2, [(1, 2)]), LinearCode(F3, 2, [(0, 1)])
     triple = gfold_cjwe([c1, c2, c3])
@@ -339,21 +341,76 @@ def _pass_estimate(P, slot):
     return steps + min(images, math.comb(n + ncells - 1, n)) * ncells
 
 
+def _both_limit(c1, c2):
+    """The budget "both" needs: the larger code's pass runs first (slot 0 on
+    a tie), and the second pass is estimated on the first pass's actual
+    terms, those of the enumerator with the larger code dualized."""
+    if c2.size > c1.size:
+        return max(_pass_estimate(cjwe(c1, c2), 1), _pass_estimate(cjwe(c1, c2.dual()), 0))
+    return max(_pass_estimate(cjwe(c1, c2), 0), _pass_estimate(cjwe(c1.dual(), c2), 1))
+
+
 @pytest.mark.parametrize("q,variant", [(2, "first"), (3, "second"), (4, "both"), (5, "both")])
 def test_transform_budget_at_its_limit(q, variant):
     spec = field_for_q(q)
     c1, c2 = random_code(spec, 2, 1, q), random_code(spec, 2, 2 if q > 2 else 1, q + 1)
     base, sizes = cjwe(c1, c2), (c1.size, c2.size)
     if variant == "both":
-        # The second pass is estimated on the first pass's actual terms,
-        # which are those of the enumerator of (dual C1, C2).
-        limit = max(_pass_estimate(base, 0), _pass_estimate(cjwe(c1.dual(), c2), 1))
+        limit = _both_limit(c1, c2)
     else:
         limit = _pass_estimate(base, TRANSFORM_VARIANTS.index(variant))
     expected = macwilliams_transform(base, variant, sizes)
     assert macwilliams_transform(base, variant, sizes, budget=limit) == expected
     with pytest.raises(CapacityError):
         macwilliams_transform(base, variant, sizes, budget=limit - 1)
+
+
+def test_both_dualizes_the_larger_code_first():
+    # C1 = {0} is the smaller code, so the slot-1 pass runs first and the
+    # intermediate is the enumerator of (C1, dual C2), over 8 word pairs,
+    # not that of (dual C1, C2), over 512.
+    spec = field_for_q(8)
+    c1, c2 = LinearCode(spec, 2, []), random_code(spec, 2, 1, 3)
+    base, sizes = cjwe(c1, c2), (c1.size, c2.size)
+    limit = _both_limit(c1, c2)
+    assert limit == max(_pass_estimate(base, 1), _pass_estimate(cjwe(c1, c2.dual()), 0))
+    assert limit < _pass_estimate(cjwe(c1.dual(), c2), 1)  # slot 0 first would need this
+    expected = cjwe(c1.dual(), c2.dual())
+    assert macwilliams_transform(base, "both", sizes, budget=limit) == expected
+    with pytest.raises(CapacityError):
+        macwilliams_transform(base, "both", sizes, budget=limit - 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_both_passes_commute(q):
+    # Swapping the sizes swaps the pass order and keeps the scale.  Dense
+    # averaged enumerators (q^n > 81) and fold 3 past q = 5 take seconds.
+    spec = field_for_q(q)
+    rng = random.Random(8000 + q)
+    for n in range(1, 4 if q <= 4 else 3):
+        dims = [(0, 1), (1, 0), (1, 1)] + [(1, 2), (2, 1)] * (n == 3)
+        for k1, k2 in dims:
+            c1, c2, c3 = (random_code(spec, n, k, rng.randrange(2**32)) for k in (k1, k2, 1))
+            a, b, c = c1.size, c2.size, c3.size
+            cases = [(cjwe(c1, c2), (), cjwe(c1.dual(), c2.dual()))]
+            if q**n <= 81:
+                expected = avg_cjwe_bruteforce(c1.dual(), c2.dual())
+                cases.append((avg_cjwe_bruteforce(c1, c2), (), expected))
+            if q <= 5 and n <= 2:
+                expected = gfold_cjwe([c1.dual(), c2.dual(), c3])
+                cases.append((gfold_cjwe([c1, c2, c3]), (c,), expected))
+            for base, rest, expected in cases:
+                got = macwilliams_transform(base, "both", (a, b) + rest)
+                assert got == macwilliams_transform(base, "both", (b, a) + rest), (n, k1, k2)
+                assert got == expected, (n, k1, k2, base.fold)
+
+
+@pytest.mark.parametrize("sizes", [(0, 9), (3, -3), (2.5, 3)])
+def test_transform_rejects_bad_sizes_before_any_work(sizes):
+    # A budget of 1 refuses any pass, so the ValueError comes first.
+    bad = next(s for s in sizes if not (isinstance(s, int) and s > 0))
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        macwilliams_transform(cjwe(SPAN3, SPAN3), "both", sizes, budget=1)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
