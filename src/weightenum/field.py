@@ -9,10 +9,15 @@ defining polynomial.  Its canonical position is
 a bijection onto [0, q).  Every other module orders field elements,
 polynomial variables and composition cells by this index; index 0 is zero.
 
-Defining polynomials are written constant term first and must be monic,
-irreducible and primitive (the residue class of x generates the
-multiplicative group).  All three properties are checked at construction
-time, including for the built-in defaults.
+Defining polynomials are written constant term first and must be monic and
+primitive: lam generates the multiplicative group.  A monic f of degree m
+with f(0) != 0 is primitive exactly when x has order p^m - 1 modulo f, and
+such an f is irreducible (Lidl & Niederreiter, Finite Fields, ch. 3).  So
+one walk over the powers of lam, run at construction time for the built-in
+defaults too, both checks f and lists the field: its log and antilog lists
+give multiplication and inverses, while addition and negation act digit-wise
+on the index.  A prime field takes no polynomial; its walk runs over the
+powers of the least primitive root mod p.
 """
 
 from __future__ import annotations
@@ -38,58 +43,15 @@ def is_prime(p: int) -> bool:
     return all(p % d for d in range(2, int(p**0.5) + 1))
 
 
-def _poly_trim(coeffs: list[int]) -> list[int]:
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mul(p: int, a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(p: int, a: list[int], mod: list[int]) -> list[int]:
-    # mod is monic
-    a = list(a)
-    d = len(mod) - 1
-    while len(a) > d or (len(a) == d + 1 and a[-1] != 0):
-        if len(a) <= d:
-            break
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - d
-            for j in range(d + 1):
-                a[shift + j] = (a[shift + j] - lead * mod[j]) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_is_irreducible(p: int, poly: tuple[int, ...]) -> bool:
-    """Exhaustive factor search: no monic divisor of degree 1..m//2."""
-    m = len(poly) - 1
-    for d in range(1, m // 2 + 1):
-        for code in range(p**d):
-            cand = []
-            t = code
-            for _ in range(d):
-                cand.append(t % p)
-                t //= p
-            cand.append(1)  # monic degree d
-            if _poly_mod(p, list(poly), cand) == [0]:
-                return False
-    return True
-
-
 class FieldSpec:
-    """F_q given by characteristic p, degree m and a defining polynomial.
+    """F_q given by characteristic p, degree m and a defining polynomial
+    (m > 1 only; DEFAULT_POLYS[q] when none is given).
 
-    Immutable once constructed.  Exposes dense lookup tables indexed by
-    element index for the hot enumeration loops:
+    Immutable once constructed.  The tables come from one walk over the
+    powers of the generator, lam for m > 1 and the least primitive root for
+    m = 1; a polynomial whose walk does not return to 1 after exactly q - 1
+    steps is refused.  Exposes dense lookup tables indexed by element index
+    for the hot enumeration loops:
 
         add_table[i][j], mul_table[i][j], neg_table[i], inv_table[i]
         alpha0_table[i]  -- constant coordinate of element i
@@ -117,40 +79,25 @@ class FieldSpec:
         self.q = q
 
         if m == 1:
-            # Placeholder, unused: elements are residues mod p.
+            if defining_poly is not None:
+                raise ValueError(f"the prime field F_{p} takes no defining polynomial")
+            # Placeholder for __eq__ and __hash__: elements are residues mod p.
+            # The walk multiplies by the least primitive root g, the root of x - g.
             self.defining_poly = (0, 1)
+            g = next(g for g in range(1, p) if len({g**k % p for k in range(1, p)}) == p - 1)
+            poly = (-g % p, 1)
         else:
-            if defining_poly is None:
-                if q not in DEFAULT_POLYS:
-                    raise ValueError(f"no default defining polynomial for q = {q}")
-                defining_poly = DEFAULT_POLYS[q]
-            poly = tuple(int(c) for c in defining_poly)
+            poly = tuple(int(c) for c in (DEFAULT_POLYS[q] if defining_poly is None else defining_poly))
             if len(poly) != m + 1:
                 raise ValueError(f"defining polynomial must have degree {m}")
             if any(c < 0 or c >= p for c in poly):
                 raise ValueError("defining polynomial coefficients must lie in [0, p)")
             if poly[-1] != 1:
                 raise ValueError("defining polynomial must be monic")
-            if not _poly_is_irreducible(p, poly):
-                raise ValueError(f"polynomial {poly} is reducible over F_{p}")
             self.defining_poly = poly
-
-        self._build_tables()
-
-        if m > 1 and self._order_of(p) != q - 1:
-            raise ValueError(
-                f"polynomial {self.defining_poly} is not primitive: "
-                f"x has order {self._order_of(p)}, expected {q - 1}"
-            )
+        self._build_tables(poly)
 
     # -- construction helpers ------------------------------------------------
-
-    def _coeffs_of(self, index: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            out.append(index % self.p)
-            index //= self.p
-        return tuple(out)
 
     def _index_of(self, coeffs) -> int:
         out = 0
@@ -158,45 +105,40 @@ class FieldSpec:
             out = out * self.p + c
         return out
 
-    def _build_tables(self):
+    def _build_tables(self, poly):
+        """Every table from one walk e_0 = 1, e_{k+1} = x * e_k modulo poly,
+        which must return to 1 after exactly q - 1 steps: x then generates the
+        multiplicative group, so poly is primitive, hence irreducible.  If
+        poly(0) = 0, x is no unit and the walk never returns to 1."""
         p, m, q = self.p, self.m, self.q
-        coeff_list = [self._coeffs_of(i) for i in range(q)]
-        mod = list(self.defining_poly)
-
-        add = [[0] * q for _ in range(q)]
+        places = [p**j for j in range(m)]
+        self.add_table = tuple(
+            tuple(sum((i // w + j // w) % p * w for w in places) for j in range(q)) for i in range(q)
+        )
+        self.neg_table = tuple(sum(-(i // w) % p * w for w in places) for i in range(q))
+        self.alpha0_table = tuple(i % p for i in range(q))
+        # x * e shifts e's digits up a place; the digit t shifted out of place
+        # m - 1 comes back as t * x^m = -t * (poly_0 + ... + poly_{m-1} x^{m-1}).
+        top = places[-1]
+        carry = [sum(-t * c % p * w for c, w in zip(poly, places)) for t in range(p)]
+        antilog = [1]
+        for _ in range(q - 1):
+            e = antilog[-1]
+            antilog.append(self.add_table[e % top * p][carry[e // top]])
+        if antilog.pop() != 1 or 1 in antilog[1:]:
+            raise ValueError(
+                f"polynomial {poly} is reducible or not primitive over F_{p}: "
+                f"x does not have order {q - 1} modulo it"
+            )
         mul = [[0] * q for _ in range(q)]
-        for i in range(q):
-            for j in range(q):
-                add[i][j] = self._index_of(
-                    tuple((a + b) % p for a, b in zip(coeff_list[i], coeff_list[j]))
-                )
-                prod = _poly_mul(p, list(coeff_list[i]), list(coeff_list[j]))
-                if m > 1:
-                    prod = _poly_mod(p, prod, mod)
-                else:
-                    prod = [prod[0] % p]
-                prod = prod + [0] * (m - len(prod))
-                mul[i][j] = self._index_of(prod)
-        neg = [self._index_of(tuple((-a) % p for a in coeff_list[i])) for i in range(q)]
         inv: list[int | None] = [None] * q
-        for i in range(1, q):
-            inv[i] = next(j for j in range(1, q) if mul[i][j] == 1)
-
-        self.add_table = tuple(tuple(r) for r in add)
-        self.mul_table = tuple(tuple(r) for r in mul)
-        self.neg_table = tuple(neg)
+        for i, a in enumerate(antilog):
+            inv[a] = antilog[-i % (q - 1)]
+            for j, b in enumerate(antilog):
+                mul[a][b] = antilog[(i + j) % (q - 1)]
+        self.mul_table = tuple(map(tuple, mul))
         self.inv_table = tuple(inv)
-        self.alpha0_table = tuple(c[0] for c in coeff_list)
-        self.elements = tuple(FieldElement(self, c) for c in coeff_list)
-
-    def _order_of(self, index: int) -> int:
-        k, x = 1, index
-        while x != 1:
-            x = self.mul_table[x][index]
-            k += 1
-            if k > self.q:
-                raise ValueError("element order iteration did not close")
-        return k
+        self.elements = tuple(FieldElement(self, tuple(i // w % p for w in places)) for i in range(q))
 
     # -- public API ----------------------------------------------------------
 

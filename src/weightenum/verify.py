@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .capacity import DEFAULT_BUDGET, CapacityError
+from .capacity import DEFAULT_BUDGET, CapacityError, check_budget
 from .averages import (
     avg_cjwe_bruteforce,
     avg_gfold_bruteforce,
@@ -232,6 +232,7 @@ def _sweep_lemma31(row, spec, n, g, trials, seed, budget):
     """Draw j is (pool[j // order], monomial_at(spec, n, j % order)); each
     matrix is decoded once per cell, and a pair's check is costed at 400
     steps."""
+    check_budget(code_count(spec, n) * n * n, budget, "code pool listing")
     pool = list(all_codes(spec, n))
     order = monomial_group_order(spec, n)
     draws, mode = _instances(trials, seed, len(pool) * order * 400,
@@ -251,6 +252,7 @@ def _sweep_lemma42(row, spec, n, g, trials, seed, budget):
     """Draw j is (pool[j // R], comps[j % R]); the kernel runs once per drawn
     code, and the exhaustive estimate bounds each run by the full space's."""
     q = spec.q
+    check_budget(code_count(spec, n) * n * n, budget, "code pool listing")
     pool = list(all_codes(spec, n))
     comps = list(iter_compositions(n, q))
     R = len(comps)

@@ -157,6 +157,10 @@ def test_random_code_command(files, capsys):
     assert out == "field p=2 m=1\nn=3\n"
     rc, out = run(capsys, "random-code", "--q", "2", "--n", "2", "--k", "2")
     assert out == "field p=2 m=1\nn=2\ngen 1 0\ngen 0 1\n"
+    # a prime field takes no defining polynomial
+    rc = main(["random-code", "--q", "3", "--n", "2", "--k", "1", "--poly", "9,9,9"])
+    assert rc == 2
+    assert "takes no defining polynomial" in capsys.readouterr().err
 
 
 def test_python_dash_m_entry_point(capsys):
@@ -281,10 +285,22 @@ def test_pair_sweeps_at_q2_n9_end_in_time(capsys):
         assert capsys.readouterr().err.startswith("capacity: ")
 
 
+@pytest.mark.parametrize("claim", ["lemma31", "lemma42"])
+def test_lemma_sweeps_at_q2_n9_refuse_the_pool_in_time(capsys, claim):
+    # Both sweeps still index a listed pool; 8,283,458 codes at n * n steps
+    # each pass the default budget, so the listing is refused before it starts.
+    start = time.perf_counter()
+    rc = main(["verify", claim, "--q", "2", "--n", "9"])
+    assert rc == 3
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err.startswith("capacity: code pool listing needs about ")
+
+
 def test_lemma31_budget_refusal_exit_3(capsys):
-    # The sweep lists no group elements; the first instance's report text
-    # (about 114 characters) is what passes the budget of 10.
-    rc = main(["verify", "lemma31", "--q", "3", "--n", "2", "--budget", "10"])
+    # The sweep lists no group elements, and its pool of 6 codes costs 24
+    # steps; the first instance's report text (about 114 characters) is what
+    # passes the budget of 100.
+    rc = main(["verify", "lemma31", "--q", "3", "--n", "2", "--budget", "100"])
     assert rc == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -168,6 +168,7 @@ def test_code_file_comments_and_blank_lines():
         ("field p=2 m=1\nn=2\ngen 1 2\n", "line 3"),
         ("field p=2 m=1\nn=2\nrow 1 1\n", "line 3"),
         ("field p=4 m=1\nn=2\n", "line 1"),
+        ("field p=3 m=1 poly=9,9,9\nn=2\n", "line 1: the prime field F_3 takes no"),
         ("", "line 1"),
     ],
 )
