@@ -84,10 +84,16 @@ class FieldSpec:
             # Placeholder for __eq__ and __hash__: elements are residues mod p.
             # The walk multiplies by the least primitive root g, the root of x - g.
             self.defining_poly = (0, 1)
-            g = next(g for g in range(1, p) if len({g**k % p for k in range(1, p)}) == p - 1)
+            g = 1
+            while len({g**k % p for k in range(1, p)}) != p - 1:
+                g += 1
             poly = (-g % p, 1)
         else:
-            poly = tuple(int(c) for c in (DEFAULT_POLYS[q] if defining_poly is None else defining_poly))
+            if defining_poly is None:
+                if q not in DEFAULT_POLYS:
+                    raise ValueError(f"no default defining polynomial for q = {q}")
+                defining_poly = DEFAULT_POLYS[q]
+            poly = tuple(int(c) for c in defining_poly)
             if len(poly) != m + 1:
                 raise ValueError(f"defining polynomial must have degree {m}")
             if any(c < 0 or c >= p for c in poly):
@@ -99,12 +105,6 @@ class FieldSpec:
 
     # -- construction helpers ------------------------------------------------
 
-    def _index_of(self, coeffs) -> int:
-        out = 0
-        for c in reversed(coeffs):
-            out = out * self.p + c
-        return out
-
     def _build_tables(self, poly):
         """Every table from one walk e_0 = 1, e_{k+1} = x * e_k modulo poly,
         which must return to 1 after exactly q - 1 steps: x then generates the
@@ -113,7 +113,11 @@ class FieldSpec:
         p, m, q = self.p, self.m, self.q
         places = [p**j for j in range(m)]
         self.add_table = tuple(
-            tuple(sum((i // w + j // w) % p * w for w in places) for j in range(q)) for i in range(q)
+            tuple(
+                sum((i // w + j // w) % p * w for w in places)
+                for j in range(q)
+            )
+            for i in range(q)
         )
         self.neg_table = tuple(sum(-(i // w) % p * w for w in places) for i in range(q))
         self.alpha0_table = tuple(i % p for i in range(q))
@@ -202,7 +206,7 @@ class FieldElement:
 
     @property
     def index(self) -> int:
-        return self.spec._index_of(self.coeffs)
+        return sum(c * self.spec.p**j for j, c in enumerate(self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -297,10 +297,11 @@ def test_lemma_sweeps_at_q2_n9_refuse_the_pool_in_time(capsys, claim):
 
 
 def test_lemma31_budget_refusal_exit_3(capsys):
-    # The sweep lists no group elements, and its pool of 6 codes costs 24
-    # steps; the first instance's report text (about 114 characters) is what
-    # passes the budget of 100.
-    rc = main(["verify", "lemma31", "--q", "3", "--n", "2", "--budget", "100"])
+    # At q = 16, n = 2 the pool of 19 codes costs 76 steps, within the budget
+    # of 100, while listing the 450 group elements would cost 900 steps; the
+    # sweep lists no group elements, so the first instance's report text
+    # (about 137 characters) is what passes the budget.
+    rc = main(["verify", "lemma31", "--q", "16", "--n", "2", "--budget", "100"])
     assert rc == 3
     captured = capsys.readouterr()
     assert captured.out == ""
