@@ -38,7 +38,6 @@ from .polynomials import (
     cwe,
     gfold_cjwe,
     macwilliams_transform,
-    specialize,
 )
 from .averages import (
     AverageReport,

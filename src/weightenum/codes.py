@@ -297,39 +297,56 @@ def format_code_file(code: LinearCode) -> str:
 
 
 def all_codes(spec: FieldSpec, n: int):
-    """Every subspace of F_q^n exactly once, via its rref generator matrix.
+    """Every subspace of F_q^n exactly once, in code_at's order."""
+    for j in range(code_count(spec, n)):
+        yield code_at(spec, n, j)
 
-    Deterministic order: dimension ascending, pivot columns lexicographic,
-    free entries in index order.
+
+def code_at(spec: FieldSpec, n: int, j: int) -> LinearCode:
+    """all_codes(spec, n)'s element j, without listing the codes before it.
+
+    The order: dimension k ascending, then rref pivot columns in
+    lexicographic order, then the free entries (row by row, columns
+    ascending, pivot columns skipped) as base-q digits, the last entry
+    fastest.  So j skips whole k-blocks of [n, k]_q codes, then pivot
+    blocks of q^#free codes, and what is left are the free entries.
     """
+    if j < 0:
+        raise IndexError(f"code index {j} is negative")
     q = spec.q
-    yield LinearCode(spec, n, [])
-    for k in range(1, n + 1):
-        for pivots in itertools.combinations(range(n), k):
-            pivot_set = set(pivots)
-            free = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, n)
-                if c not in pivot_set
-            ]
-            for values in itertools.product(range(q), repeat=len(free)):
-                rows = [[0] * n for _ in range(k)]
-                for r, c in zip(range(k), pivots):
-                    rows[r][c] = 1
-                for (r, c), v in zip(free, values):
-                    rows[r][c] = v
-                yield LinearCode(spec, n, rows)
+    for k in range(n + 1):
+        if j < (block := _subspaces(q, n, k)):
+            break
+        j -= block
+    else:
+        raise IndexError("code index out of range")
+    for pivots in itertools.combinations(range(n), k):
+        # row r has n - pivots[r] - 1 later columns, k - r - 1 of them pivots
+        if j < (block := q ** sum(n - p - k + r for r, p in enumerate(pivots))):
+            break
+        j -= block
+    rows = [[0] * n for _ in range(k)]
+    for r, p in enumerate(pivots):
+        rows[r][p] = 1
+    free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots]
+    for r, c in reversed(free):
+        j, rows[r][c] = divmod(j, q)
+    return LinearCode(spec, n, rows)
+
+
+def _subspaces(q: int, n: int, k: int) -> int:
+    """The Gaussian binomial [n, k]_q: the number of k-dimensional subspaces
+    of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
 def code_count(spec: FieldSpec, n: int) -> int:
-    """How many codes all_codes(spec, n) yields, without listing them: the
-    Gaussian binomials [n, k]_q summed over k, through the recurrence
-    G_{m+1} = 2 G_m + (q^m - 1) G_{m-1} from G_0 = 1, G_1 = 2."""
-    before, count = 0, 1
-    for m in range(n):
-        before, count = count, 2 * count + (spec.q**m - 1) * before
-    return count
+    """How many codes all_codes(spec, n) yields: [n, k]_q summed over k."""
+    return sum(_subspaces(spec.q, n, k) for k in range(n + 1))
 
 
 def random_code(spec: FieldSpec, n: int, k: int, seed: int) -> LinearCode:

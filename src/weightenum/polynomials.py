@@ -369,90 +369,6 @@ def _slot_pass(spec: FieldSpec, ncells: int, n: int, terms: dict, budget: int) -
     return {k: v for k, c in buckets[nfib].items() if (v := value(c))}
 
 
-# -- substitutions ---------------------------------------------------------------
-
-
-def specialize(P: EnumeratorPolynomial, subs: dict, fold: int | None = None) -> EnumeratorPolynomial:
-    """Substitute variables by variables of a (possibly lower) fold or by
-    exact constants.
-
-    subs maps source cells (index tuples over F_q^fold) to either a target
-    cell tuple or a constant.  Cells left out are kept as themselves, which
-    is only possible when the fold does not change.  The result must stay
-    homogeneous; mixing constants and variables that would break that is
-    rejected.
-    """
-    spec = P.spec
-    q = spec.q
-    g = P.fold
-
-    norm: dict[int, tuple[str, object]] = {}
-    target_folds = set()
-    for cell, target in subs.items():
-        idx = cell if isinstance(cell, int) else _cell_to_index(q, cell, g)
-        if isinstance(target, tuple):
-            target_folds.add(len(target))
-            norm[idx] = ("var", target)
-        else:
-            norm[idx] = ("const", Fraction(target))
-    if len(target_folds) > 1:
-        raise ValueError(f"substitution targets mix folds {sorted(target_folds)}")
-    if fold is None:
-        fold = target_folds.pop() if target_folds else g
-    elif target_folds and target_folds != {fold}:
-        raise ValueError("substitution targets do not match the requested fold")
-
-    ncells_in = q**g
-    ncells_out = q**fold
-    identity_ok = fold == g
-    out: dict[tuple[int, ...], Fraction] = {}
-    degree = None
-    for exp, coef in P.terms.items():
-        new_exp = [0] * ncells_out
-        value = coef
-        for idx in range(ncells_in):
-            e = exp[idx]
-            if not e:
-                continue
-            action = norm.get(idx)
-            if action is None:
-                if not identity_ok:
-                    raise ValueError(
-                        f"cell index {idx} has no substitution but the fold changes"
-                    )
-                new_exp[idx] += e
-            elif action[0] == "var":
-                new_exp[_cell_to_index(q, action[1], fold)] += e
-            else:
-                value *= action[1] ** e
-        deg = sum(new_exp)
-        if degree is None:
-            degree = deg
-        elif deg != degree:
-            raise ValueError("substitution does not preserve homogeneity")
-        if value:
-            key = tuple(new_exp)
-            acc = out.get(key, Fraction(0)) + value
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    if degree is None:
-        degree = P.n
-    return EnumeratorPolynomial(spec, fold, degree, out)
-
-
-def _cell_to_index(q: int, cell: tuple, fold: int) -> int:
-    if len(cell) != fold:
-        raise ValueError(f"cell {cell} does not have fold {fold}")
-    idx = 0
-    for a in cell:
-        if not (0 <= a < q):
-            raise ValueError(f"cell entry {a} out of range for q = {q}")
-        idx = idx * q + a
-    return idx
-
-
 # -- canonical text -------------------------------------------------------------
 
 # The layout json.dumps(..., indent=2) gives a list of {"exp": [...], ...}

@@ -25,11 +25,12 @@ produce without asserting agreement.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .capacity import DEFAULT_BUDGET, CapacityError, check_budget
+from .capacity import DEFAULT_BUDGET, CapacityError
 from .averages import (
     avg_cjwe_bruteforce,
     avg_gfold_bruteforce,
@@ -41,13 +42,13 @@ from .averages import (
 from .codes import (
     LinearCode,
     all_codes,
+    code_at,
     code_count,
     format_code_file,
     monomial_at,
     monomial_group_order,
     random_code,
 )
-from .compositions import iter_compositions
 from .field import field_for_q
 from .polynomials import _SLOTS, TRANSFORM_VARIANTS, cjwe, macwilliams_transform
 
@@ -229,44 +230,44 @@ def _sweep_average(row, spec, n, g, trials, seed, budget):
 
 
 def _sweep_lemma31(row, spec, n, g, trials, seed, budget):
-    """Draw j is (pool[j // order], monomial_at(spec, n, j % order)); each
-    matrix is decoded once per cell, and a pair's check is costed at 400
-    steps."""
-    check_budget(code_count(spec, n) * n * n, budget, "code pool listing")
-    pool = list(all_codes(spec, n))
-    order = monomial_group_order(spec, n)
-    draws, mode = _instances(trials, seed, len(pool) * order * 400,
-                             lambda: range(len(pool) * order),
-                             lambda rng: rng.randrange(len(pool)) * order + rng.randrange(order))
-    matrices = {}
+    """Draw j is (code_at(spec, n, j // order), monomial_at(spec, n, j %
+    order)); each code and matrix is decoded once per cell, and a pair's
+    check is costed at 400 steps."""
+    count, order = code_count(spec, n), monomial_group_order(spec, n)
+    draws, mode = _instances(trials, seed, count * order * 400,
+                             lambda: range(count * order),
+                             lambda rng: rng.randrange(count) * order + rng.randrange(order))
+    codes, matrices = {}, {}
     for j in draws:
         code_i, m_i = divmod(j, order)
+        if code_i not in codes:
+            codes[code_i] = code_at(spec, n, code_i)
         if m_i not in matrices:
             matrices[m_i] = monomial_at(spec, n, m_i)
-        M = matrices[m_i]
+        code, M = codes[code_i], matrices[m_i]
         extra = {"matrix": {"perm": list(M.perm), "diag": list(M.diag)}}
-        yield mode, [pool[code_i]], check_lemma31(pool[code_i], M).equal, extra
+        yield mode, [code], check_lemma31(code, M).equal, extra
 
 
 def _sweep_lemma42(row, spec, n, g, trials, seed, budget):
-    """Draw j is (pool[j // R], comps[j % R]); the kernel runs once per drawn
-    code, and the exhaustive estimate bounds each run by the full space's."""
+    """Draw j is (code_at(spec, n, j // R), the code's result j % R), the
+    results in lemma42_results' order over the R compositions of n into q
+    cells; the kernel runs once per drawn code, and the exhaustive estimate
+    bounds each run by the full space's."""
     q = spec.q
-    check_budget(code_count(spec, n) * n * n, budget, "code pool listing")
-    pool = list(all_codes(spec, n))
-    comps = list(iter_compositions(n, q))
-    R = len(comps)
-    size = len(pool) * R
-    draws, mode = _instances(trials, seed, len(pool) * (q - 1) ** n * q**n * n,
-                             lambda: range(size), lambda rng: rng.randrange(size))
+    count, R = code_count(spec, n), math.comb(n + q - 1, q - 1)
+    draws, mode = _instances(trials, seed, count * (q - 1) ** n * q**n * n,
+                             lambda: range(count * R), lambda rng: rng.randrange(count * R))
     per_code = {}
     for j in draws:
         code_i, r_i = divmod(j, R)
         if code_i not in per_code:
-            per_code[code_i] = lemma42_results(pool[code_i], budget=budget)
-        result = per_code[code_i][comps[r_i]]
-        extra = {"r": list(comps[r_i]), "lhs": result.lhs, "rhs": result.rhs}
-        yield mode, [pool[code_i]], result.equal, extra
+            code = code_at(spec, n, code_i)
+            per_code[code_i] = code, list(lemma42_results(code, budget=budget).items())
+        code, results = per_code[code_i]
+        r, result = results[r_i]
+        extra = {"r": list(r), "lhs": result.lhs, "rhs": result.rhs}
+        yield mode, [code], result.equal, extra
 
 
 def _text_size(entry: dict) -> int:
@@ -331,6 +332,8 @@ def run_claim(
         raise ValueError(f"trials must be positive, got {trials}")
     if g < 1:
         raise ValueError(f"g must be positive, got {g}")
+    if n is not None and n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if row.fixed_q2:
         if q not in (None, 2):
             raise ValueError(f"the {claim} claim is the q = 2 regime; use {row.fixed_q2} for q > 2")

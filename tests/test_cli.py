@@ -8,6 +8,7 @@ import time
 import pytest
 
 import weightenum.cli as cli
+from weightenum import CLAIMS
 from weightenum.cli import main
 
 REP2 = "field p=2 m=1\nn=2\ngen 1 1\n"
@@ -285,22 +286,53 @@ def test_pair_sweeps_at_q2_n9_end_in_time(capsys):
         assert capsys.readouterr().err.startswith("capacity: ")
 
 
-@pytest.mark.parametrize("claim", ["lemma31", "lemma42"])
-def test_lemma_sweeps_at_q2_n9_refuse_the_pool_in_time(capsys, claim):
-    # Both sweeps still index a listed pool; 8,283,458 codes at n * n steps
-    # each pass the default budget, so the listing is refused before it starts.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "lemma31 --q 2 --n 9",
+        "lemma42 --q 2 --n 9",
+        "lemma42 --q 2 --n 8",
+        "lemma42 --q 2 --n 8 --budget 1000000",
+        "lemma31 --q 16 --n 16",
+    ],
+)
+def test_lemma_sweeps_decode_large_pools_in_time(capsys, argv):
+    # The sweeps decode each drawn code by its index in the pool (8,283,458
+    # codes at q = 2, n = 9, about 1.4e77 at q = 16, n = 16) instead of
+    # listing it.
     start = time.perf_counter()
-    rc = main(["verify", claim, "--q", "2", "--n", "9"])
-    assert rc == 3
+    rc = main(["verify", *argv.split()])
+    assert rc == 0
     assert time.perf_counter() - start < 5.0
-    assert capsys.readouterr().err.startswith("capacity: code pool listing needs about ")
+    assert json.loads(capsys.readouterr().out)["aggregate"]["instances"] == 10
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+@pytest.mark.parametrize("claim", ["lemma31", "lemma42"])
+def test_lemma_sweeps_end_in_time_on_every_field(capsys, claim, q):
+    # Neither the codes nor lemma42's compositions (300,540,195 at q = 16,
+    # n = 16) are listed before a kernel checks its budget.
+    for n in (8, 12, 16):
+        start = time.perf_counter()
+        rc = main(["verify", claim, "--q", str(q), "--n", str(n)])
+        assert rc in (0, 3), n
+        assert time.perf_counter() - start < 5.0, n
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_verify_lengths_out_of_range(capsys, claim):
+    for n in ("0", "-1"):
+        assert main(["verify", claim, "--n", n]) == 2
+        assert f"n must be positive, got {n}" in capsys.readouterr().err
+    assert main(["verify", claim, "--n", "17"]) == 3
+    assert "code length 17 exceeds the cap 16" in capsys.readouterr().err
 
 
 def test_lemma31_budget_refusal_exit_3(capsys):
-    # At q = 16, n = 2 the pool of 19 codes costs 76 steps, within the budget
-    # of 100, while listing the 450 group elements would cost 900 steps; the
-    # sweep lists no group elements, so the first instance's report text
-    # (about 137 characters) is what passes the budget.
+    # At q = 16, n = 2 the sweep lists neither the 19 codes nor the 450 group
+    # elements, so the first instance's report text (about 137 characters) is
+    # what passes the budget of 100.
     rc = main(["verify", "lemma31", "--q", "16", "--n", "2", "--budget", "100"])
     assert rc == 3
     captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from weightenum import (
@@ -16,7 +18,7 @@ from weightenum import (
     random_code,
 )
 
-from weightenum.codes import code_count, monomial_at
+from weightenum.codes import code_at, code_count, monomial_at
 
 from helpers import brute_dual_words, code_words, subspace_count
 
@@ -186,8 +188,65 @@ def test_all_codes_counts(q, n):
     assert len(set(codes)) == len(codes)
 
 
+# sha256 of repr([c.generators for c in all_codes(spec, n)]), taken from the
+# nested-loop listing that all_codes was before it read each code through
+# code_at: the pool order the sweeps' seeded draws index is pinned.
+CODE_ORDER_DIGESTS = [
+    (2, 1, "c14f40195e51b3bb2d00d4fcc8be4b54326c0f71c2beb8a8d1d1910f5718f26a"),
+    (2, 2, "deb087604e8d7e9be4499c6129ee45e67180bc001d015458c44d9c1d08169346"),
+    (2, 3, "b5b51dc356aff55b93b16017e521c60636b72429995f38c74e48e35ae82fda1e"),
+    (2, 4, "d7cff1424c52de31878364b50fa3bf2cb4b78d41164dafa7aaf565d6ae7d8f93"),
+    (2, 5, "16450a4990fe0b8c410d7b9f58fa8075992820aca45ce36d62325d81c1570093"),
+    (2, 6, "f0fb3566db9908a47a582a5da00ec40683d16c04d9213ce234cbb04fa3f5d61f"),
+    (3, 1, "c14f40195e51b3bb2d00d4fcc8be4b54326c0f71c2beb8a8d1d1910f5718f26a"),
+    (3, 2, "962bed68a84a207100fbc7e22abb88b08cd21044dac7bacccf8165ec02a6679a"),
+    (3, 3, "27f633d8a8e8be7a547cec0396bd714ec087ea073bbf7a4d218a51b1f803bb11"),
+    (3, 4, "80a4ffb7ed4a1617ede38526c884fb1e65f360fb223f5ae552328d145a4caf59"),
+    (4, 1, "c14f40195e51b3bb2d00d4fcc8be4b54326c0f71c2beb8a8d1d1910f5718f26a"),
+    (4, 2, "a3fa376e6defa9c84463e67f8291383eaf20b663d730a786e7de7384ad3077f6"),
+    (4, 3, "3a6d8e0f46164010aed9d68fb1818e47eacadaa46806e168cdc9cba5d03a2890"),
+    (5, 1, "c14f40195e51b3bb2d00d4fcc8be4b54326c0f71c2beb8a8d1d1910f5718f26a"),
+    (5, 2, "d9a2845e9f23b4eb15937a24482d721bdf41b0c5a08ac688092edeeed76876d9"),
+    (5, 3, "08017b6c0869c5fb20415a93ba65da636e8e6456fee6b945d0539c1910abf942"),
+    (7, 1, "c14f40195e51b3bb2d00d4fcc8be4b54326c0f71c2beb8a8d1d1910f5718f26a"),
+    (7, 2, "056b7bebb95e80e8b004d2388b55b641f0f8cfb79bde9e80c40f2247b7c4c306"),
+    (8, 1, "c14f40195e51b3bb2d00d4fcc8be4b54326c0f71c2beb8a8d1d1910f5718f26a"),
+    (8, 2, "bf96d0220c7e7f9ef708aa693af502766e972d9d2cdb0c9e9f07d3a90bc56d83"),
+    (9, 1, "c14f40195e51b3bb2d00d4fcc8be4b54326c0f71c2beb8a8d1d1910f5718f26a"),
+    (9, 2, "740eaf5a9a57da719692b35384a63a936ca3309b2212f7e88117a4bf227c445b"),
+    (11, 1, "c14f40195e51b3bb2d00d4fcc8be4b54326c0f71c2beb8a8d1d1910f5718f26a"),
+    (11, 2, "89e441e078ba415641e24e1afa15f047c9af2a3591af7c8d6f1ef0b711584996"),
+    (13, 1, "c14f40195e51b3bb2d00d4fcc8be4b54326c0f71c2beb8a8d1d1910f5718f26a"),
+    (13, 2, "98314a97461c53140ebcfb8d011b5a517a9361b37e1bf8016a2dbb617ef89723"),
+    (16, 1, "c14f40195e51b3bb2d00d4fcc8be4b54326c0f71c2beb8a8d1d1910f5718f26a"),
+    (16, 2, "8a3eab723cb344a58483510f61f9b09f448ba6453bc55a02f4ebafde0d788bae"),
+]
+
+
+@pytest.mark.parametrize("q,n,digest", CODE_ORDER_DIGESTS)
+def test_code_order_is_pinned_and_code_at_reads_it(q, n, digest):
+    spec = field_for_q(q)
+    listed = list(all_codes(spec, n))
+    assert hashlib.sha256(repr([c.generators for c in listed]).encode()).hexdigest() == digest
+    assert [code_at(spec, n, j) for j in range(len(listed))] == listed
+    for j in (-1, code_count(spec, n)):
+        with pytest.raises(IndexError):
+            code_at(spec, n, j)
+
+
+def test_code_at_reaches_both_ends_of_the_largest_pools():
+    for q in (2, 16):
+        spec = field_for_q(q)
+        last = code_count(spec, 16) - 1
+        assert code_at(spec, 16, 0) == LinearCode(spec, 16, [])
+        assert code_at(spec, 16, last).k == 16
+        with pytest.raises(IndexError):
+            code_at(spec, 16, last + 1)
+
+
 def test_code_count_matches_the_gaussian_binomials():
-    # The recurrence against the product formula, at every field and length.
+    # The summed Gaussian binomials against the helpers' product formula, at
+    # every field and length.
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
         spec = field_for_q(q)
         assert [code_count(spec, n) for n in range(1, 17)] == [

@@ -28,7 +28,7 @@ KERNEL_SPANS = {
     "thm43": ("averages.closed", "averages.brute", "averages.compare"),
     "thm52": ("averages.closed", "averages.brute", "averages.compare"),
     "lemma31": ("averages.lemma", "codes.monomial"),
-    "lemma42": ("codes.all_codes", "compositions.iter_compositions"),
+    "lemma42": ("codes.construct", "compositions.iter_compositions"),
 }
 
 
