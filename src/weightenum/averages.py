@@ -3,9 +3,10 @@
 The definitional route averages the joint enumerator of (C1*M, C2, ..., Cg)
 over all (q-1)^n * n! monomial matrices M and is the ground truth here.
 Since (u*M)_i = diag[i] * u[perm[i]], it tallies the images of every pair
-(M, u): the permuted words over every permutation, then their scalings by
-every diagonal, each distinct image carrying the number of pairs that give
-it.  Every M is counted; no orbit or transitivity theorem is used.
+(M, u): itertools.permutations lists each word under every permutation,
+then itertools.product lists each distinct permuted word under every
+diagonal, each distinct image carrying the number of pairs that give it.
+Every (M, u) pair is visited; no orbit or transitivity theorem is used.
 The closed-form route evaluates a multinomial-ratio expression driven only
 by the per-code composition censuses.  The two agree for binary codes; for
 q > 2 they can differ, and the comparator makes any divergence a
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,31 +52,28 @@ def avg_gfold_bruteforce(
 ) -> EnumeratorPolynomial:
     """Definitional average: the monomial group acts on the first code only,
     every other code stays fixed.  Every pair (M, u), u in the first code,
-    is tallied by its image v = u*M: stage 1 counts the permuted words over
-    every (perm, u), stage 2 scales each by every diagonal, adding its
-    count to m(v), and stage 3 profiles each distinct v once against every
-    tail with weight m(v).  The m(v) sum to |G| * |C1|; each stage checks
-    its own step estimate before it runs."""
+    is tallied by its image v = u*M.  Stage 1 counts the permuted words
+    over every (perm, u), itertools.permutations(u) yielding u under every
+    perm; stage 2 walks itertools.product over each permuted word's
+    column of scaled values, which yields its image under every diagonal,
+    and adds the word's count to m(v); stage 3 profiles each distinct v
+    once against every tail with weight m(v).  The m(v) sum to
+    |G| * |C1|; each stage checks its own step estimate before it runs."""
     spec, n = _code_shape(codes)
     q = spec.q
     g = len(codes)
     what = "brute-force average"
     check_budget(math.factorial(n) * codes[0].size * n, budget, what)
     words1 = codes[0].codeword_list(budget=budget)
-    permuted: dict[tuple[int, ...], int] = {}
-    for perm in itertools.permutations(range(n)):
-        for u in words1:
-            w = tuple(map(u.__getitem__, perm))
-            permuted[w] = permuted.get(w, 0) + 1
+    permuted = Counter(itertools.chain.from_iterable(map(itertools.permutations, words1)))
 
     check_budget((q - 1) ** n * len(permuted) * n, budget, what)
-    # Multiplication rows of the nonzero scalars, in first-coordinate cell offsets.
+    # cols[x]: x times every nonzero scalar, in first-coordinate cell offsets.
     stride = q ** (g - 1)
-    scalars = [[x * stride for x in row] for row in spec.mul_table[1:]]
+    cols = [[row[x] * stride for row in spec.mul_table[1:]] for x in range(q)]
     images: dict[tuple[int, ...], int] = {}
-    for diag in itertools.product(scalars, repeat=n):
-        for w, m in permuted.items():
-            v = tuple(map(operator.getitem, diag, w))
+    for w, m in permuted.items():
+        for v in itertools.product(*map(cols.__getitem__, w)):
             images[v] = images.get(v, 0) + m
 
     tail_count = math.prod(c.size for c in codes[1:])
@@ -82,7 +81,8 @@ def avg_gfold_bruteforce(
     tails = tail_indices([c.codeword_list(budget=budget) for c in codes[1:]], q, n)
     counts = count_profiles(images.items(), tails, q**g)
     group = monomial_group_order(spec, n)
-    terms = {e: Fraction(c, group) for e, c in counts.items()}
+    fracs = {c: Fraction(c, group) for c in set(counts.values())}
+    terms = {e: fracs[c] for e, c in counts.items()}
     return EnumeratorPolynomial._from_kernel(spec, g, n, terms)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -62,24 +63,41 @@ def _rref(spec: FieldSpec, rows, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat[:r])
 
 
+def _indices(values, what: str) -> tuple[int, ...]:
+    """values read through operator.index (bools read as 0 and 1); a
+    ValueError names the first one that is not an integer."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(v, "__index__"))
+        raise ValueError(f"{what} must be integers, got {bad!r}") from None
+
+
 class LinearCode:
     """A subspace of F_q^n, canonicalized to rref generators."""
 
     __slots__ = ("spec", "n", "generators", "k", "_words", "_dual")
 
-    def __init__(self, spec: FieldSpec, n: int, rows=()):
+    def __init__(self, spec: FieldSpec, n: int, rows=(), *, _canonical: bool = False):
+        """_canonical: the rows are already in rref and are kept unchecked,
+        for code_at, which builds them so."""
         if n < 1:
             raise ValueError(f"code length must be positive, got {n}")
         if n > MAX_CODE_LENGTH:
             raise CapacityError(f"code length {n} exceeds the cap {MAX_CODE_LENGTH}")
-        for row in rows:
-            if len(row) != n:
-                raise ValueError(f"generator row of length {len(row)}, expected {n}")
-            if any(not (0 <= int(e) < spec.q) for e in row):
-                raise ValueError("generator entries must be element indices in [0, q)")
+        if _canonical:
+            self.generators = tuple(map(tuple, rows))
+        else:
+            rows = [_indices(row, "generator entries") for row in rows]
+            for row in rows:
+                if len(row) != n:
+                    raise ValueError(f"generator row of length {len(row)}, expected {n}")
+                if any(not (0 <= e < spec.q) for e in row):
+                    raise ValueError("generator entries must be element indices in [0, q)")
+            self.generators = _rref(spec, rows, n)
         self.spec = spec
         self.n = n
-        self.generators = _rref(spec, [[int(e) for e in row] for row in rows], n)
         self.k = len(self.generators)
         self._words = None
         self._dual = None
@@ -156,10 +174,14 @@ class MonomialMatrix:
     diag: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.perm) != list(range(self.n)):
+        perm = _indices(self.perm, "perm entries")
+        if sorted(perm) != list(range(self.n)):
             raise ValueError(f"perm {self.perm} is not a permutation of range({self.n})")
-        if len(self.diag) != self.n or any(not (1 <= d < self.spec.q) for d in self.diag):
+        diag = _indices(self.diag, "diag entries")
+        if len(diag) != self.n or any(not (1 <= d < self.spec.q) for d in diag):
             raise ValueError("diag entries must be nonzero element indices")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "diag", diag)
 
     def apply(self, word) -> tuple[int, ...]:
         if len(word) != self.n:
@@ -331,7 +353,7 @@ def code_at(spec: FieldSpec, n: int, j: int) -> LinearCode:
     free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots]
     for r, c in reversed(free):
         j, rows[r][c] = divmod(j, q)
-    return LinearCode(spec, n, rows)
+    return LinearCode(spec, n, rows, _canonical=True)
 
 
 def _subspaces(q: int, n: int, k: int) -> int:

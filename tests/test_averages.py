@@ -248,6 +248,20 @@ def test_bruteforce_matches_literal_group_walk(q, g):
     assert avg_gfold_bruteforce(codes).terms == literal_group_average(codes)
 
 
+@pytest.mark.parametrize(
+    "q,n,dims",
+    [(2, 5, (2, 2)), (2, 6, (2, 2)), (3, 4, (2, 1)), (3, 5, (1, 1)), (3, 4, (0, 2)), (3, 1, (1, 1))],
+)
+def test_bruteforce_matches_literal_group_walk_at_workload_lengths(q, n, dims):
+    # The lengths of the average workload's brute-force-bound pairs, where
+    # the permutation and diagonal stages repeat words; also a zero first
+    # code and n = 1.
+    spec = field_for_q(q)
+    codes = [random_code(spec, n, k, seed=q * 100 + n * 10 + i) for i, k in enumerate(dims)]
+    assert [c.k for c in codes] == list(dims)
+    assert avg_gfold_bruteforce(codes).terms == literal_group_average(codes)
+
+
 def test_bruteforce_budget_at_its_limit():
     codes = _seeded_codes(3, 2, 3, 7)
     c1, n = codes[0], codes[0].n

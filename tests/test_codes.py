@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -18,7 +19,7 @@ from weightenum import (
     random_code,
 )
 
-from weightenum.codes import code_at, code_count, monomial_at
+from weightenum.codes import _rref, code_at, code_count, monomial_at
 
 from helpers import brute_dual_words, code_words, subspace_count
 
@@ -112,6 +113,18 @@ def test_monomial_validation():
     M = MonomialMatrix(F3, 2, (0, 1), (1, 1))
     with pytest.raises(ValueError):
         M.apply((1, 2, 0))
+
+
+def test_monomial_entries_must_be_integers():
+    with pytest.raises(ValueError, match=re.escape("0.0")):
+        MonomialMatrix(F3, 2, (0.0, 1), (1, 2))
+    with pytest.raises(ValueError, match=re.escape("2.0")):
+        MonomialMatrix(F3, 2, (0, 1), (1, 2.0))
+    with pytest.raises(ValueError, match=re.escape("'1'")):
+        MonomialMatrix(F3, 2, (0, 1), ("1", 2))
+    M = MonomialMatrix(F3, 2, (True, False), (True, 2))
+    assert (M.perm, M.diag) == ((1, 0), (1, 2))
+    assert M.apply((1, 2)) == (2, 2)
 
 
 def test_monomial_group_sizes():
@@ -244,6 +257,15 @@ def test_code_at_reaches_both_ends_of_the_largest_pools():
             code_at(spec, 16, last + 1)
 
 
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4) for n in (1, 2, 3)] + [(2, 5)])
+def test_pool_codes_are_built_in_rref(q, n):
+    # code_at hands its rows to LinearCode as they are, without reducing
+    # them, so they must already be the rref the checked path computes.
+    spec = field_for_q(q)
+    for code in all_codes(spec, n):
+        assert _rref(spec, code.generators, n) == code.generators
+
+
 def test_code_count_matches_the_gaussian_binomials():
     # The summed Gaussian binomials against the helpers' product formula, at
     # every field and length.
@@ -275,3 +297,19 @@ def test_length_caps():
         LinearCode(F2, 2, [(1, 1, 1)])
     with pytest.raises(ValueError):
         LinearCode(F2, 2, [(1, 2)])
+
+
+@pytest.mark.parametrize("entry", [1.5, "1", None, 2.0])
+def test_generator_entries_must_be_integers(entry):
+    with pytest.raises(ValueError, match=re.escape(repr(entry))):
+        LinearCode(F3, 2, [[entry, 0]])
+
+
+def test_bool_generator_entries_read_as_0_and_1():
+    code = LinearCode(F3, 2, [[True, False], [False, True]])
+    assert code.generators == ((1, 0), (0, 1))
+    assert {type(e) for row in code.generators for e in row} == {int}
+
+
+def test_rows_may_be_a_one_shot_iterable():
+    assert LinearCode(F3, 2, (row for row in [(1, 1)])).generators == ((1, 1),)

@@ -27,6 +27,14 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_sources_parse_as_the_oldest_declared_python():
+    # pyproject.toml declares requires-python >= 3.10; the suite may run on
+    # a newer interpreter, so parse with 3.10's grammar.
+    assert SOURCES
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def test_pyproject_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     with open(ROOT / "pyproject.toml", "rb") as fh:
