@@ -51,7 +51,6 @@ from .averages import (
     check_lemma31,
     check_lemma42,
     compare,
-    multinomial,
 )
 from .verify import CLAIMS, ClaimCheck, run_claim
 

@@ -31,19 +31,6 @@ from .compositions import _code_shape, census, count_profiles, iter_compositions
 from .polynomials import EnumeratorPolynomial, _term_list_text, macwilliams_transform
 
 
-def multinomial(n: int, parts) -> int:
-    """n! / (parts_1! * ... * parts_m!), exact; the parts must sum to n."""
-    parts = list(parts)
-    if any(p < 0 for p in parts):
-        raise ValueError(f"negative part in {parts}")
-    if sum(parts) != n:
-        raise ValueError(f"parts {parts} do not sum to {n}")
-    out = math.factorial(n)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
-
-
 # -- brute-force averages -------------------------------------------------------
 
 

@@ -28,7 +28,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .capacity import DEFAULT_BUDGET, CapacityError, check_budget
 from .field import FieldSpec
@@ -172,6 +172,7 @@ class MonomialMatrix:
     n: int
     perm: tuple[int, ...]
     diag: tuple[int, ...]
+    _inverse: MonomialMatrix | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         perm = _indices(self.perm, "perm entries")
@@ -199,12 +200,16 @@ class MonomialMatrix:
         return MonomialMatrix(self.spec, self.n, perm, diag)
 
     def inverse(self) -> MonomialMatrix:
-        inv_perm = [0] * self.n
-        for i, p in enumerate(self.perm):
-            inv_perm[p] = i
-        inv = self.spec.inv_table
-        diag = tuple(inv[self.diag[inv_perm[i]]] for i in range(self.n))
-        return MonomialMatrix(self.spec, self.n, tuple(inv_perm), diag)
+        """The inverse matrix, built once per matrix object."""
+        if self._inverse is None:
+            inv_perm = [0] * self.n
+            for i, p in enumerate(self.perm):
+                inv_perm[p] = i
+            inv = self.spec.inv_table
+            diag = tuple(inv[self.diag[inv_perm[i]]] for i in range(self.n))
+            inverse = MonomialMatrix(self.spec, self.n, tuple(inv_perm), diag)
+            object.__setattr__(self, "_inverse", inverse)
+        return self._inverse
 
 
 def apply_monomial_code(code: LinearCode, M: MonomialMatrix) -> LinearCode:

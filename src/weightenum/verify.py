@@ -9,9 +9,14 @@ whose serialization embeds the instance code files, so any reported
 discrepancy can be replayed from the report alone.  All sweeps pick their
 instances the same way: exhaustive when affordable, else seeded draws.
 
-Shared work is done once: a transform sweep computes each ordered code
-pair's enumerator once per cell, and a report formats each distinct code
-file once.  The report text is json.dumps(doc, indent=2) + "\n" of
+Shared work is done once per cell, the oracle side still per instance: a
+transform sweep computes each ordered code pair's enumerator once and each
+transform once per distinct (variant, enumerator, sizes), an average sweep
+each closed form once per distinct (C1 census, tail census), and a report
+formats each distinct code file once.  The memos live in the sweep and go
+with it; brute-force averages and comparisons run on every instance.  A
+trials count whose reports cannot fit the budget is refused before any
+draw.  The report text is json.dumps(doc, indent=2) + "\n" of
 ClaimCheck.to_doc(), written directly.  Its size is counted in characters
 against the budget as instances are recorded, and run_claim raises
 CapacityError once it is over, before any text is written.
@@ -49,6 +54,7 @@ from .codes import (
     monomial_group_order,
     random_code,
 )
+from .compositions import census
 from .field import field_for_q
 from .polynomials import _SLOTS, TRANSFORM_VARIANTS, cjwe, macwilliams_transform
 
@@ -193,11 +199,13 @@ def _sweep_transform(row, spec, n, g, trials, seed, budget):
     enumerator of the dualized pair; the enumerator is the joint one, or the
     brute-force average for an averaged row.  Each ordered pair's enumerator
     is computed once per cell: in an exhaustive cell every dualized pair is a
-    pool pair too."""
+    pool pair too.  A transform reads only its input enumerator and sizes, so
+    it runs once per distinct (variant, enumerator terms, sizes) of the cell,
+    and each instance compares it with its own dualized pair's enumerator."""
     q = spec.q
     pairs, mode = _code_tuples(spec, n, 2, (q * q) ** n * q ** (2 * n), trials, seed, _draw_pair)
     kernel = avg_cjwe_bruteforce if row.averaged else cjwe
-    memo = {}
+    memo, transforms = {}, {}
 
     def enumerator(c1, c2):
         key = (c1.generators, c2.generators)
@@ -206,26 +214,40 @@ def _sweep_transform(row, spec, n, g, trials, seed, budget):
         return memo[key]
 
     for c1, c2 in pairs:
-        base = enumerator(c1, c2)
+        base, sizes = enumerator(c1, c2), (c1.size, c2.size)
+        # One lookup per pair: the transforms of one (terms, sizes) by variant.
+        outputs = transforms.setdefault((frozenset(base.terms.items()), *sizes), {})
         verdicts = {}
         for variant in row.variants:
-            got = macwilliams_transform(base, variant, (c1.size, c2.size), budget=budget)
+            if variant not in outputs:
+                outputs[variant] = macwilliams_transform(base, variant, sizes, budget=budget)
             duals = [c.dual() if i in _SLOTS[variant] else c for i, c in enumerate((c1, c2))]
-            verdicts[variant] = got == enumerator(*duals)
+            verdicts[variant] = outputs[variant] == enumerator(*duals)
         yield mode, [c1, c2], all(verdicts.values()), {"variants": verdicts}
 
 
 def _sweep_average(row, spec, n, g, trials, seed, budget):
     """Closed form against brute force: on g-tuples drawn code by code for a
-    row that takes g, else on pairs."""
+    row that takes g, else on pairs.  The closed form reads only the censuses
+    of C1 and of the tail C2..Cg, so it runs once per distinct census pair of
+    the cell, each census computed once per distinct code list; the brute
+    force and the comparison run on every instance."""
     g, draw = (g, _draw_tuple) if row.takes_g else (2, _draw_pair)
     est = monomial_group_order(spec, n) * spec.q ** (g * n) * n
     tuples, mode = _code_tuples(spec, n, g, est, trials, seed, draw)
+    censuses, closed = {}, {}
+
+    def census_key(part):
+        key = tuple(c.generators for c in part)
+        if key not in censuses:
+            censuses[key] = frozenset(census(part, budget=budget).items()) if part else ()
+        return censuses[key]
+
     for codes in tuples:
-        report = compare(
-            avg_gfold_closedform(codes, budget=budget),
-            avg_gfold_bruteforce(codes, budget=budget),
-        )
+        key = census_key(codes[:1]), census_key(codes[1:])
+        if key not in closed:
+            closed[key] = avg_gfold_closedform(codes, budget=budget)
+        report = compare(closed[key], avg_gfold_bruteforce(codes, budget=budget))
         yield mode, codes, report.agreed, {"differences": report.to_doc()["differences"]}
 
 
@@ -346,6 +368,10 @@ def run_claim(
         params["g"] = g
         tag = f" g={g}"
     check = ClaimCheck(claim, params)
+    # Every draw writes at least 75 characters (_text_size): refuse up front.
+    if trials is not None and 75 * trials * len(cells) > budget:
+        raise CapacityError(f"the {claim} report needs about {75 * trials * len(cells)} "
+                            f"characters, over the budget of {budget}")
 
     size = 0
     for qq, nn in cells:

@@ -2,15 +2,13 @@
 
 These deliberately avoid the code paths they check: the dual oracle scans
 all q^n vectors instead of doing Gaussian elimination, subspace counts come
-from the Gaussian binomial product formula, multinomials from raw
-factorials, and the group average and the Lemma 4.2 sums visit one
-monomial matrix at a time.
+from the Gaussian binomial product formula, and the group average and the
+Lemma 4.2 sums visit one monomial matrix at a time.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from weightenum import (
@@ -57,13 +55,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 def subspace_count(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
-
-
-def factorial_multinomial(n: int, parts) -> int:
-    out = math.factorial(n)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
 
 
 def literal_group_average(codes) -> dict[tuple[int, ...], Fraction]:

@@ -26,13 +26,12 @@ from weightenum import (
     field_for_q,
     monomial_group,
     monomial_group_order,
-    multinomial,
     random_code,
 )
 
 from weightenum.averages import lemma42_results
 
-from helpers import factorial_multinomial, literal_group_average, literal_lemma42
+from helpers import literal_group_average, literal_lemma42
 
 F2 = FieldSpec(2, 1)
 F3 = FieldSpec(3, 1)
@@ -41,21 +40,6 @@ REP2 = LinearCode(F2, 2, [(1, 1)])
 SEL2 = LinearCode(F2, 2, [(0, 1)])
 SPAN3 = LinearCode(F3, 2, [(1, 1)])
 ZERO3 = LinearCode(F3, 2, [])
-
-
-def test_multinomial_examples():
-    assert multinomial(2, [2, 0]) == 1
-    assert multinomial(4, [2, 1, 1]) == 12
-    assert multinomial(0, [0, 0, 0]) == 1
-    with pytest.raises(ValueError):
-        multinomial(3, [2, 2])
-    with pytest.raises(ValueError):
-        multinomial(1, [2, -1])
-
-
-def test_multinomial_against_factorials():
-    for parts in itertools.product(range(4), repeat=3):
-        assert multinomial(sum(parts), parts) == factorial_multinomial(sum(parts), parts)
 
 
 def test_avg_bruteforce_frozen_examples():

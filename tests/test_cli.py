@@ -355,6 +355,17 @@ def test_report_over_budget_exit_3(capsys):
     assert "characters, over the budget of 5000" in captured.err
 
 
+@pytest.mark.parametrize("claim", ["lemma42", "thm43"])
+def test_huge_trials_exit_3(claim):
+    # 10^8 draws of at least 75 report characters each are refused before
+    # the first draw, in a fresh interpreter too.
+    result = _python("-m", "weightenum", "verify", claim, "--q", "2", "--n", "1",
+                     "--trials", "100000000")
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"capacity: the {claim} report needs about 7500000000 ")
+
+
 def _python(*args) -> subprocess.CompletedProcess:
     """A fresh interpreter with this checkout's src on its path."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"

@@ -156,6 +156,16 @@ def test_monomial_group_action_laws():
         assert m.then(m.inverse()) == MonomialMatrix(F3, 2, (0, 1), (1, 1))
 
 
+def test_monomial_inverse_is_built_once_and_hidden():
+    # The inverse is kept on the matrix; equality, hashing and repr ignore it.
+    m = MonomialMatrix(F3, 3, (1, 2, 0), (2, 1, 2))
+    fresh = MonomialMatrix(F3, 3, (1, 2, 0), (2, 1, 2))
+    inv = m.inverse()
+    assert m.inverse() is inv and inv.then(m) == MonomialMatrix(F3, 3, (0, 1, 2), (1, 1, 1))
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    assert repr(m) == "MonomialMatrix(spec=%r, n=3, perm=(1, 2, 0), diag=(2, 1, 2))" % F3
+
+
 def test_code_file_round_trip():
     code = LinearCode(F3, 2, [(1, 1)])
     text = format_code_file(code)

@@ -1,10 +1,26 @@
 import hashlib
+import itertools
 import json
+import time
 
 import pytest
 
 import weightenum.verify as verify
-from weightenum import CLAIMS, CapacityError, all_codes, field_for_q, run_claim
+from weightenum import (
+    CLAIMS,
+    CapacityError,
+    all_codes,
+    avg_cjwe_bruteforce,
+    avg_gfold_bruteforce,
+    avg_gfold_closedform,
+    census,
+    cjwe,
+    compare,
+    field_for_q,
+    macwilliams_transform,
+    parse_code_file,
+    run_claim,
+)
 
 
 def test_claim_list():
@@ -221,3 +237,80 @@ def test_report_over_budget_is_refused():
     # The estimate is a lower bound: a budget of the text's own length passes.
     text = run_claim("thm43", q=3, n=2).to_text()
     assert run_claim("thm43", q=3, n=2, budget=len(text)).to_text() == text
+
+
+@pytest.mark.parametrize("claim", ["lemma42", "thm43"])
+def test_huge_trials_are_refused_before_any_draw(claim):
+    # Each instance writes at least 75 report characters, so 10^8 draws
+    # cannot fit the default budget of 10^8 characters.
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"the {claim} report needs about 7500000000 char"):
+        run_claim(claim, q=2, n=1, trials=100_000_000)
+    assert time.perf_counter() - start < 1.0
+
+
+def _signature(part):
+    """A hashable census of a code list, () for the empty tail."""
+    return frozenset(census(part).items()) if part else ()
+
+
+@pytest.mark.parametrize("claim,kwargs,counts", [
+    ("macwilliams", dict(q=2, n=3), {"cjwe": 256, "macwilliams_transform": 240}),
+    ("thm33i", dict(q=2, n=3), {"avg_cjwe_bruteforce": 256, "macwilliams_transform": 64}),
+    ("yoshida", dict(q=2, n=3),
+     {"avg_gfold_closedform": 64, "avg_gfold_bruteforce": 256, "compare": 256}),
+    ("thm52", dict(q=2, n=2),
+     {"avg_gfold_closedform": 68, "avg_gfold_bruteforce": 125, "compare": 125}),
+    ("thm43", dict(q=3, n=2),
+     {"avg_gfold_closedform": 25, "avg_gfold_bruteforce": 36, "compare": 36}),
+])
+def test_sweeps_run_the_oracle_per_instance_and_the_formula_per_distinct_input(
+    monkeypatch, claim, kwargs, counts
+):
+    # The enumerators, brute-force averages and comparisons run on every
+    # instance (an exhaustive pair cell's enumerator once per ordered pair);
+    # a transform runs once per distinct (variant, enumerator, sizes) and a
+    # closed form once per distinct (C1 census, tail census) of the cell.
+    calls = {name: _counting(monkeypatch, name) for name in counts}
+    run_claim(claim, **kwargs)
+    assert {name: len(c) for name, c in calls.items()} == counts
+    # Every formula call of the cell had an input no earlier call had.
+    transforms = [(variant, frozenset(base.terms.items()), sizes)
+                  for base, variant, sizes in calls.get("macwilliams_transform", ())]
+    closed = [(_signature(codes[:1]), _signature(codes[1:]))
+              for (codes,) in calls.get("avg_gfold_closedform", ())]
+    assert len(set(transforms)) == len(transforms) and len(set(closed)) == len(closed)
+    # A second report repeats all of its work: no memo outlives a call.
+    run_claim(claim, **kwargs)
+    assert {name: len(c) for name, c in calls.items()} == {
+        name: 2 * count for name, count in counts.items()
+    }
+
+
+_DUALIZED = {"first": (0,), "second": (1,), "both": (0, 1)}
+
+
+@pytest.mark.parametrize("claim", ["macwilliams", "thm33ii", "thm43"])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_verdicts_match_fresh_kernel_calls(claim, q):
+    # Every instance's verdict, recomputed from fresh kernel calls with no
+    # memo, is the one the report records.  The cells are exhaustive but for
+    # the transform cells at q = 4, which draw 10 pairs.
+    check = run_claim(claim, q=q, n=2)
+    pairs = [tuple(map(parse_code_file, inst["codes"])) for inst in check.instances]
+    if "exhaustive" in check.instances[0]["description"]:
+        assert pairs == list(itertools.product(all_codes(field_for_q(q), 2), repeat=2))
+    else:
+        assert (claim, q, len(pairs)) in {("macwilliams", 4, 10), ("thm33ii", 4, 10)}
+    for inst, (c1, c2) in zip(check.instances, pairs):
+        if claim == "thm43":
+            report = compare(avg_gfold_closedform([c1, c2]), avg_gfold_bruteforce([c1, c2]))
+            assert inst["differences"] == report.to_doc()["differences"]
+            continue
+        kernel = cjwe if claim == "macwilliams" else avg_cjwe_bruteforce
+        verdicts = {}
+        for variant in inst["variants"]:
+            duals = [c.dual() if i in _DUALIZED[variant] else c for i, c in enumerate((c1, c2))]
+            got = macwilliams_transform(kernel(c1, c2), variant, (c1.size, c2.size))
+            verdicts[variant] = got == kernel(*duals)
+        assert inst["variants"] == verdicts
