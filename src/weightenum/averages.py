@@ -6,7 +6,8 @@ Since (u*M)_i = diag[i] * u[perm[i]], it tallies the images of every pair
 (M, u): itertools.permutations lists each word under every permutation,
 then itertools.product lists each distinct permuted word under every
 diagonal, each distinct image carrying the number of pairs that give it.
-Every (M, u) pair is visited; no orbit or transitivity theorem is used.
+Every (M, u) pair is visited once per C1 object, which keeps its tally for
+later partners; no orbit or transitivity theorem is used.
 The closed-form route evaluates a multinomial-ratio expression driven only
 by the per-code composition censuses.  The two agree for binary codes; for
 q > 2 they can differ, and the comparator makes any divergence a
@@ -45,23 +46,28 @@ def avg_gfold_bruteforce(
     column of scaled values, which yields its image under every diagonal,
     and adds the word's count to m(v); stage 3 profiles each distinct v
     once against every tail with weight m(v).  The m(v) sum to
-    |G| * |C1|; each stage checks its own step estimate before it runs."""
+    |G| * |C1|; each stage checks its own step estimate, also when stages
+    1-2 are skipped: their result is kept on C1 per stride q^(g-1)."""
     spec, n = _code_shape(codes)
     q = spec.q
     g = len(codes)
     what = "brute-force average"
-    check_budget(math.factorial(n) * codes[0].size * n, budget, what)
-    words1 = codes[0].codeword_list(budget=budget)
-    permuted = Counter(itertools.chain.from_iterable(map(itertools.permutations, words1)))
-
-    check_budget((q - 1) ** n * len(permuted) * n, budget, what)
-    # cols[x]: x times every nonzero scalar, in first-coordinate cell offsets.
-    stride = q ** (g - 1)
-    cols = [[row[x] * stride for row in spec.mul_table[1:]] for x in range(q)]
-    images: dict[tuple[int, ...], int] = {}
-    for w, m in permuted.items():
-        for v in itertools.product(*map(cols.__getitem__, w)):
-            images[v] = images.get(v, 0) + m
+    c1, stride = codes[0], q ** (g - 1)
+    check_budget(math.factorial(n) * c1.size * n, budget, what)
+    if stride in c1._tallies:  # stages 1-2 ran on this C1 object at this stride
+        images, distinct = c1._tallies[stride]
+        check_budget((q - 1) ** n * distinct * n, budget, what)
+    else:
+        words1 = c1.codeword_list(budget=budget)
+        permuted = Counter(itertools.chain.from_iterable(map(itertools.permutations, words1)))
+        check_budget((q - 1) ** n * len(permuted) * n, budget, what)
+        # cols[x]: x times every nonzero scalar, in first-coordinate cell offsets.
+        cols = [[row[x] * stride for row in spec.mul_table[1:]] for x in range(q)]
+        images: dict[tuple[int, ...], int] = {}
+        for w, m in permuted.items():
+            for v in itertools.product(*map(cols.__getitem__, w)):
+                images[v] = images.get(v, 0) + m
+        c1._tallies[stride] = images, len(permuted)
 
     tail_count = math.prod(c.size for c in codes[1:])
     check_budget(len(images) * tail_count * n, budget, what)

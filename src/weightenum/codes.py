@@ -3,7 +3,8 @@
 A code is stored by its generator matrix in reduced row echelon form, so
 two objects describe the same code exactly when their generator tuples are
 equal.  Codewords and generator rows are tuples of element indices in
-[0, q); the FieldSpec tables supply the arithmetic.
+[0, q); the FieldSpec tables supply the arithmetic.  Rows from outside are
+checked once, by LinearCode(spec, n, rows); rows the package builds are not.
 
 A monomial matrix is a pair (perm, diag) acting by
 
@@ -46,21 +47,24 @@ def _rref(spec: FieldSpec, rows, n: int) -> tuple[tuple[int, ...], ...]:
     mat = [list(r) for r in rows]
     r = 0
     for c in range(n):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        scale = inv[mat[r][c]]
-        mat[r] = [mul[scale][x] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = neg[mat[i][c]]
-                row_r = mat[r]
-                mat[i] = [add[x][mul[f][y]] for x, y in zip(mat[i], row_r)]
-        r += 1
         if r == len(mat):
             break
-    return tuple(tuple(row) for row in mat[:r])
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                break
+        else:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        pivot = mat[r]
+        if pivot[c] != 1:  # never at q = 2
+            scale = mul[inv[pivot[c]]]
+            pivot = mat[r] = [scale[x] for x in pivot]
+        for i, row in enumerate(mat):
+            if row[c] and i != r:
+                scale = mul[neg[row[c]]]
+                mat[i] = [add[x][scale[y]] for x, y in zip(row, pivot)]
+        r += 1
+    return tuple(map(tuple, mat[:r]))
 
 
 def _indices(values, what: str) -> tuple[int, ...]:
@@ -75,32 +79,36 @@ def _indices(values, what: str) -> tuple[int, ...]:
 
 
 class LinearCode:
-    """A subspace of F_q^n, canonicalized to rref generators."""
+    """A subspace of F_q^n, canonicalized to rref generators.  LinearCode(spec,
+    n, rows) checks every entry of rows from outside, then reduces them; each
+    code the package builds from its own rows comes from _from_rref."""
 
-    __slots__ = ("spec", "n", "generators", "k", "_words", "_dual")
+    __slots__ = ("spec", "n", "generators", "k", "_words", "_dual", "_tallies")
 
-    def __init__(self, spec: FieldSpec, n: int, rows=(), *, _canonical: bool = False):
-        """_canonical: the rows are already in rref and are kept unchecked,
-        for code_at, which builds them so."""
+    def __init__(self, spec: FieldSpec, n: int, rows=()):
         if n < 1:
             raise ValueError(f"code length must be positive, got {n}")
         if n > MAX_CODE_LENGTH:
             raise CapacityError(f"code length {n} exceeds the cap {MAX_CODE_LENGTH}")
-        if _canonical:
-            self.generators = tuple(map(tuple, rows))
-        else:
-            rows = [_indices(row, "generator entries") for row in rows]
-            for row in rows:
-                if len(row) != n:
-                    raise ValueError(f"generator row of length {len(row)}, expected {n}")
-                if any(not (0 <= e < spec.q) for e in row):
-                    raise ValueError("generator entries must be element indices in [0, q)")
-            self.generators = _rref(spec, rows, n)
-        self.spec = spec
-        self.n = n
+        rows = [_indices(row, "generator entries") for row in rows]
+        for row in rows:
+            if len(row) != n:
+                raise ValueError(f"generator row of length {len(row)}, expected {n}")
+            if any(not (0 <= e < spec.q) for e in row):
+                raise ValueError("generator entries must be element indices in [0, q)")
+        self.spec, self.n = spec, n
+        self.generators = _rref(spec, rows, n)
         self.k = len(self.generators)
-        self._words = None
-        self._dual = None
+        self._words = self._dual = None
+        self._tallies = {}  # avg_gfold_bruteforce's image tallies of this code, by stride
+
+    @classmethod
+    def _from_rref(cls, spec: FieldSpec, n: int, generators: tuple) -> LinearCode:
+        """The code of rref rows the package built (int tuples), kept as they
+        are: __init__ runs on no rows, so only n is checked."""
+        code = cls(spec, n)
+        code.generators, code.k = generators, len(generators)
+        return code
 
     @property
     def size(self) -> int:
@@ -128,28 +136,19 @@ class LinearCode:
 
     def dual(self) -> LinearCode:
         """Null space of the generators under the standard inner product, memoized."""
-        if self._dual is not None:
-            return self._dual
-        spec, n = self.spec, self.n
-        neg = spec.neg_table
-        gens = self.generators
-        pivots = []
-        col = 0
-        for row in gens:
-            while row[col] == 0:
-                col += 1
-            pivots.append(col)
-        pivot_set = set(pivots)
-        rows = []
-        for f in range(n):
-            if f in pivot_set:
-                continue
-            h = [0] * n
-            h[f] = 1
-            for i, p_col in enumerate(pivots):
-                h[p_col] = neg[gens[i][f]]
-            rows.append(h)
-        self._dual = LinearCode(spec, n, rows)
+        if self._dual is None:
+            n, neg, gens = self.n, self.spec.neg_table, self.generators
+            pivots = [row.index(1) for row in gens]  # an rref row's first nonzero entry, 1
+            rows = []
+            for f in range(n):
+                if f in pivots:
+                    continue
+                h = [0] * n
+                h[f] = 1
+                for i, p_col in enumerate(pivots):
+                    h[p_col] = neg[gens[i][f]]
+                rows.append(h)
+            self._dual = LinearCode._from_rref(self.spec, n, _rref(self.spec, rows, n))
         return self._dual
 
     def __eq__(self, other) -> bool:
@@ -215,7 +214,9 @@ class MonomialMatrix:
 def apply_monomial_code(code: LinearCode, M: MonomialMatrix) -> LinearCode:
     if code.spec != M.spec or code.n != M.n:
         raise ValueError("monomial matrix does not match the code")
-    return LinearCode(code.spec, code.n, [M.apply(row) for row in code.generators])
+    scales = [code.spec.mul_table[d] for d in M.diag]
+    rows = [[s[row[p]] for s, p in zip(scales, M.perm)] for row in code.generators]
+    return LinearCode._from_rref(code.spec, code.n, _rref(code.spec, rows, code.n))
 
 
 def monomial_group_order(spec: FieldSpec, n: int) -> int:
@@ -223,12 +224,11 @@ def monomial_group_order(spec: FieldSpec, n: int) -> int:
 
 
 def monomial_group(spec: FieldSpec, n: int, *, budget: int = DEFAULT_BUDGET):
-    """All (q-1)^n * n! monomial matrices, diagonals in index order outer,
-    permutations in lexicographic order inner."""
+    """All (q-1)^n * n! monomial matrices in monomial_at's order: diagonals
+    in index order outer, permutations in lexicographic order inner."""
     check_budget(monomial_group_order(spec, n) * n, budget, "monomial group enumeration")
-    for diag in itertools.product(range(1, spec.q), repeat=n):
-        for perm in itertools.permutations(range(n)):
-            yield MonomialMatrix(spec, n, perm, diag)
+    for j in range(monomial_group_order(spec, n)):
+        yield monomial_at(spec, n, j)
 
 
 def monomial_at(spec: FieldSpec, n: int, j: int) -> MonomialMatrix:
@@ -304,20 +304,18 @@ def parse_code_file(text: str) -> LinearCode:
         raise CodeFileError("line 1: missing field line")
     if n is None:
         raise CodeFileError("line 1: missing n= line")
-    return LinearCode(spec, n, rows)
+    return LinearCode._from_rref(spec, n, _rref(spec, rows, n))
 
 
 def format_code_file(code: LinearCode) -> str:
+    return _file_head(code) + "".join(f"gen {' '.join(map(str, row))}\n" for row in code.generators)
+
+
+def _file_head(code: LinearCode) -> str:
+    """The field and n= lines a code's file opens with: all of the zero code's."""
     spec = code.spec
-    if spec.m == 1:
-        head = f"field p={spec.p} m=1"
-    else:
-        poly = ",".join(str(c) for c in spec.defining_poly)
-        head = f"field p={spec.p} m={spec.m} poly={poly}"
-    lines = [head, f"n={code.n}"]
-    for row in code.generators:
-        lines.append("gen " + " ".join(str(e) for e in row))
-    return "\n".join(lines) + "\n"
+    poly = "" if spec.m == 1 else " poly=" + ",".join(map(str, spec.defining_poly))
+    return f"field p={spec.p} m={spec.m}{poly}\nn={code.n}\n"
 
 
 # -- code collections ----------------------------------------------------------
@@ -358,7 +356,7 @@ def code_at(spec: FieldSpec, n: int, j: int) -> LinearCode:
     free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots]
     for r, c in reversed(free):
         j, rows[r][c] = divmod(j, q)
-    return LinearCode(spec, n, rows, _canonical=True)
+    return LinearCode._from_rref(spec, n, tuple(map(tuple, rows)))
 
 
 def _subspaces(q: int, n: int, k: int) -> int:
@@ -381,11 +379,8 @@ def random_code(spec: FieldSpec, n: int, k: int, seed: int) -> LinearCode:
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     rng = random.Random(seed)
-    if k == 0:
-        return LinearCode(spec, n, [])
     for _ in range(10_000):
-        rows = [[rng.randrange(spec.q) for _ in range(n)] for _ in range(k)]
-        code = LinearCode(spec, n, rows)
-        if code.k == k:
-            return code
+        rows = _rref(spec, [[rng.randrange(spec.q) for _ in range(n)] for _ in range(k)], n)
+        if len(rows) == k:
+            return LinearCode._from_rref(spec, n, rows)
     raise RuntimeError("failed to draw a full-rank matrix")

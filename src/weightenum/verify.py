@@ -46,6 +46,7 @@ from .averages import (
 )
 from .codes import (
     LinearCode,
+    _file_head,
     all_codes,
     code_at,
     code_count,
@@ -368,10 +369,18 @@ def run_claim(
         params["g"] = g
         tag = f" g={g}"
     check = ClaimCheck(claim, params)
-    # Every draw writes at least 75 characters (_text_size): refuse up front.
-    if trials is not None and 75 * trials * len(cells) > budget:
-        raise CapacityError(f"the {claim} report needs about {75 * trials * len(cells)} "
-                            f"characters, over the budget of {budget}")
+    # Refuse up front a report that cannot fit: every draw writes at least 75
+    # characters, its cell's shortest description and the zero code's text
+    # per code (_text_size).  A bad q or n raises here as in its sweep.
+    if trials is not None:
+        floor = 75 * trials * len(cells)
+        width = g if row.takes_g else 1 if row.sweep in (_sweep_lemma31, _sweep_lemma42) else 2
+        for qq, nn in cells if floor <= budget else ():  # else refused on 75 a draw
+            zero = _file_head(LinearCode._from_rref(field_for_q(qq), nn, ()))
+            floor += trials * (len(f"q={qq} n={nn}{tag} random:{trials} #0") + width * len(zero))
+        if floor > budget:
+            raise CapacityError(f"the {claim} report needs about {floor} "
+                                f"characters, over the budget of {budget}")
 
     size = 0
     for qq, nn in cells:

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the dual oracle scans
 all q^n vectors instead of doing Gaussian elimination, subspace counts come
 from the Gaussian binomial product formula, and the group average and the
-Lemma 4.2 sums visit one monomial matrix at a time.
+Lemma 4.2 sums visit one monomial matrix at a time.  reference_rref is the
+package's earlier, plainer elimination, kept as the reference for the
+faster one.
 """
 
 from __future__ import annotations
@@ -119,3 +121,28 @@ def literal_lemma42(code) -> dict[tuple[int, ...], tuple[int, int]]:
 
 def make_code(spec: FieldSpec, n: int, rows) -> LinearCode:
     return LinearCode(spec, n, rows)
+
+
+def reference_rref(spec: FieldSpec, rows, n: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced row echelon form: first nonzero row at or below r as pivot,
+    swapped up, scaled to 1 and cleared from every other row."""
+    add, mul = spec.add_table, spec.mul_table
+    neg, inv = spec.neg_table, spec.inv_table
+    mat = [list(r) for r in rows]
+    r = 0
+    for c in range(n):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        scale = inv[mat[r][c]]
+        mat[r] = [mul[scale][x] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = neg[mat[i][c]]
+                row_r = mat[r]
+                mat[i] = [add[x][mul[f][y]] for x, y in zip(mat[i], row_r)]
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r])

@@ -29,6 +29,7 @@ from weightenum import (
     random_code,
 )
 
+from weightenum import averages, run_claim
 from weightenum.averages import lemma42_results
 
 from helpers import literal_group_average, literal_lemma42
@@ -267,6 +268,71 @@ def test_bruteforce_budget_at_its_limit():
     avg_gfold_bruteforce(codes, budget=max(stages))
     with pytest.raises(CapacityError):
         avg_gfold_bruteforce(codes, budget=max(stages) - 1)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2)])
+def test_one_first_code_against_many_partners_equals_fresh_codes(q, n):
+    # C1 keeps its stage 1-2 tally per stride: averages of one C1 object at
+    # g = 2, then 3, then 2 equal the same averages of fresh objects.
+    spec = field_for_q(q)
+    pool = list(all_codes(spec, n))
+    c1 = pool[len(pool) // 2]
+
+    def fresh(code):
+        return LinearCode(spec, n, code.generators)
+
+    for g in (2, 3, 2):
+        for partners in itertools.islice(itertools.product(pool, repeat=g - 1), 0, None, 3):
+            kept = avg_gfold_bruteforce([c1, *partners])
+            assert kept == avg_gfold_bruteforce([fresh(c) for c in (c1, *partners)])
+            assert kept == avg_gfold_bruteforce([fresh(c1), *partners])
+
+
+@pytest.mark.parametrize("tail_dim", [None, 0])
+def test_kept_tally_still_checks_its_estimates(tail_dim):
+    # A refusal does not depend on call history: once C1 keeps its tally,
+    # budgets at and just under each stage estimate pass and fail as they
+    # do on fresh objects.  With the zero code as tail, stage 2 binds.
+    codes = _seeded_codes(3, 2, 3, 7)
+    c1, n = codes[0], codes[0].n
+    if tail_dim is not None:
+        codes[1] = random_code(c1.spec, n, tail_dim, 0)
+    kept = avg_gfold_bruteforce(codes)
+    words = c1.codeword_list()
+    permuted = {p for u in words for p in itertools.permutations(u)}
+    images = {M.apply(u) for M in monomial_group(c1.spec, n) for u in words}
+    stages = (
+        math.factorial(n) * c1.size * n,
+        (c1.spec.q - 1) ** n * len(permuted) * n,
+        len(images) * codes[1].size * n,
+    )
+    assert tail_dim is None or max(stages) == stages[1]
+    for budget in sorted({s + d for s in stages for d in (-1, 0)}):
+        outcomes = []
+        for tuple_ in (codes, [LinearCode(c.spec, c.n, c.generators) for c in codes]):
+            try:
+                outcomes.append(avg_gfold_bruteforce(tuple_, budget=budget))
+            except CapacityError:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1] == (kept if budget >= max(stages) else None)
+
+
+def test_yoshida_tallies_each_pool_code_once(monkeypatch):
+    # yoshida --q 2 --n 3 averages 256 pairs over 16 pool codes: stage 1
+    # (the permuted-word Counter) runs once per C1 object, so 16 times, and
+    # 16 again in a second sweep, whose pool codes are new objects.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return Counter(*args, **kwargs)
+
+    Counter = averages.Counter
+    monkeypatch.setattr(averages, "Counter", counted)
+    first = run_claim("yoshida", q=2, n=3)
+    assert first.equal_count == 256 and len(calls) == 16
+    assert run_claim("yoshida", q=2, n=3).to_text() == first.to_text()
+    assert len(calls) == 32
 
 
 def test_bruteforce_refuses_before_tallying():

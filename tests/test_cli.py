@@ -366,6 +366,21 @@ def test_huge_trials_exit_3(claim):
     assert result.stderr.startswith(f"capacity: the {claim} report needs about 7500000000 ")
 
 
+def test_million_trials_exit_3_at_once():
+    # 10^6 draws of at least 136 report characters each (75, the shortest
+    # description and two zero-code texts) are refused before the first.
+    start = time.perf_counter()
+    result = _python("-m", "weightenum", "verify", "thm43", "--q", "2", "--n", "1",
+                     "--trials", "1000000")
+    assert result.returncode == 3, result.stderr
+    assert time.perf_counter() - start < 10.0
+    assert result.stdout == ""
+    assert result.stderr.startswith("capacity: the thm43 report needs about 136000000 ")
+    ok = _python("-m", "weightenum", "verify", "thm43", "--q", "2", "--n", "1", "--trials", "3")
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["aggregate"]["instances"] == 3
+
+
 def _python(*args) -> subprocess.CompletedProcess:
     """A fresh interpreter with this checkout's src on its path."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"

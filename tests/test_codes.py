@@ -1,4 +1,7 @@
 import hashlib
+import inspect
+import itertools
+import random
 import re
 
 import pytest
@@ -21,7 +24,7 @@ from weightenum import (
 
 from weightenum.codes import _rref, code_at, code_count, monomial_at
 
-from helpers import brute_dual_words, code_words, subspace_count
+from helpers import brute_dual_words, code_words, reference_rref, subspace_count
 
 F2 = FieldSpec(2, 1)
 F3 = FieldSpec(3, 1)
@@ -323,3 +326,86 @@ def test_bool_generator_entries_read_as_0_and_1():
 
 def test_rows_may_be_a_one_shot_iterable():
     assert LinearCode(F3, 2, (row for row in [(1, 1)])).generators == ((1, 1),)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_rref_matches_the_reference(q):
+    # Random matrices with zero, repeated and dependent rows, and more rows
+    # than columns, against the plain elimination kept in the helpers.
+    spec = field_for_q(q)
+    add, mul = spec.add_table, spec.mul_table
+    rng = random.Random(q)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(0, n + 2))]
+        if rows and rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+        if rows and rng.random() < 0.3:
+            rows.append(list(rng.choice(rows)))
+        if len(rows) >= 2 and rng.random() < 0.4:
+            a, b, c = rng.choice(rows), rng.choice(rows), rng.randrange(q)
+            rows.append([add[x][mul[c][y]] for x, y in zip(a, b)])
+        rng.shuffle(rows)
+        assert _rref(spec, rows, n) == reference_rref(spec, rows, n), (q, rows)
+
+
+def test_canonical_keyword_is_gone():
+    assert list(inspect.signature(LinearCode.__init__).parameters) == ["self", "spec", "n", "rows"]
+    with pytest.raises(TypeError):
+        LinearCode(F2, 2, [(1, 1)], _canonical=True)
+
+
+def _same_code(built, checked):
+    # Equal, and indistinguishable: int tuples, the same k, hash and repr.
+    assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
+    assert type(built.generators) is tuple
+    assert all(type(row) is tuple and {type(e) for e in row} <= {int} for row in built.generators)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2), (5, 1), (2, 4)])
+def test_built_codes_equal_the_checked_constructor(q, n):
+    # Pool codes, duals and monomial images skip the row checks; each must
+    # be the code the public constructor makes of the same rows.
+    spec = field_for_q(q)
+    group = list(monomial_group(spec, n))
+    for code in all_codes(spec, n):
+        _same_code(code, LinearCode(spec, n, code.generators))
+        _same_code(code.dual(), LinearCode(spec, n, sorted(brute_dual_words(code))))
+        for M in group:
+            rows = [M.apply(row) for row in code.generators]
+            _same_code(apply_monomial_code(code, M), LinearCode(spec, n, rows))
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 3), (4, 2), (9, 3), (16, 2)])
+def test_random_and_parsed_codes_equal_the_checked_constructor(q, n):
+    spec = field_for_q(q)
+    for k in range(n + 1):
+        for seed in range(5):
+            # The draw order: k rows of n entries, redrawn until independent.
+            rng = random.Random(seed)
+            while True:
+                rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+                checked = LinearCode(spec, n, rows)
+                if checked.k == k:
+                    break
+            code = random_code(spec, n, k, seed)
+            _same_code(code, checked)
+            _same_code(parse_code_file(format_code_file(code)), checked)
+    # A file's rows are reduced as the public constructor reduces them.
+    rows = [[1] * n, [0] * n, [1] * n]
+    text = format_code_file(LinearCode(spec, n, [])) + "".join(
+        "gen " + " ".join(map(str, row)) + "\n" for row in rows)
+    _same_code(parse_code_file(text), LinearCode(spec, n, rows))
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5) for n in (1, 2, 3, 4)])
+def test_monomial_group_order_is_pinned(q, n):
+    # Diagonals in index order outer, permutations in lexicographic order
+    # inner, listed here by nested loops.
+    spec = field_for_q(q)
+    expected = [
+        (perm, diag)
+        for diag in itertools.product(range(1, q), repeat=n)
+        for perm in itertools.permutations(range(n))
+    ]
+    assert [(M.perm, M.diag) for M in monomial_group(spec, n)] == expected

@@ -9,6 +9,7 @@ import weightenum.verify as verify
 from weightenum import (
     CLAIMS,
     CapacityError,
+    LinearCode,
     all_codes,
     avg_cjwe_bruteforce,
     avg_gfold_bruteforce,
@@ -17,6 +18,7 @@ from weightenum import (
     cjwe,
     compare,
     field_for_q,
+    format_code_file,
     macwilliams_transform,
     parse_code_file,
     run_claim,
@@ -247,6 +249,46 @@ def test_huge_trials_are_refused_before_any_draw(claim):
     with pytest.raises(CapacityError, match=f"the {claim} report needs about 7500000000 char"):
         run_claim(claim, q=2, n=1, trials=100_000_000)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("claim,chars", [("thm43", 136), ("lemma42", 118)])
+def test_trials_floor_counts_descriptions_and_code_texts(claim, chars):
+    # At q = 2, n = 1 a draw writes at least 75 + 25 ("q=2 n=1 random:1000000
+    # #0") + 18 ("field p=2 m=1\nn=1\n") per code, two codes for thm43's
+    # pairs: 10^6 draws are refused at once, not after the sweep.
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"needs about {chars * 10**6} char"):
+        run_claim(claim, q=2, n=1, trials=1_000_000)
+    assert time.perf_counter() - start < 1.0
+    assert run_claim(claim, q=2, n=1, trials=3).equal_count == 3
+
+
+@pytest.mark.parametrize("claim,kwargs", [
+    ("macwilliams", dict(q=3, n=2)),
+    ("thm33iii", dict(q=2)),
+    ("yoshida", dict(n=2)),
+    ("thm43", dict(q=4, n=1)),
+    ("thm52", dict(q=2, n=2, g=2)),
+    ("thm52", dict(q=3, n=1, g=4)),
+    ("lemma31", dict(q=8, n=2)),
+    ("lemma42", dict(n=1)),
+])
+def test_trials_floor_is_a_lower_bound(claim, kwargs):
+    # Each draw counts at least its cell's floor, so nothing that fits is
+    # refused up front; a budget one under the summed floors is.
+    check = run_claim(claim, trials=4, seed=2, **kwargs)
+    width = len(check.instances[0]["codes"])
+    floors = []
+    for inst in check.instances:
+        q, n = (int(t[2:]) for t in inst["description"].split()[:2])
+        zero = format_code_file(LinearCode(field_for_q(q), n))
+        shortest = inst["description"].rsplit("#", 1)[0] + "#0"
+        floors.append(75 + len(shortest) + width * len(zero))
+        assert verify._text_size(inst) >= floors[-1]
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"report needs about {sum(floors)} char"):
+        run_claim(claim, trials=4, seed=2, budget=sum(floors) - 1, **kwargs)
+    assert time.perf_counter() - start < 0.5
 
 
 def _signature(part):
