@@ -4,7 +4,7 @@ Submodules
 ----------
 
     field         arithmetic in F_q, q = p^m <= 16, canonical element order
-    cyclotomic    exact values in Q(zeta_p); the additive character chi
+    cyclotomic    exact Z[zeta_p] values packed into ints; the additive character chi
     codes         linear codes in rref form, duals, monomial matrices, code files
     compositions  composition profiles (tuples) and the {profile: count} census
     polynomials   sparse enumerators, character-sum transforms, serialization
@@ -13,12 +13,12 @@ Submodules
     cli           command-line front end
 
 Everything is exact: coefficients are rationals, characters live in
-Q(zeta_p), and equality of results is literal equality of canonical forms.
+Z[zeta_p], and equality of results is literal equality of canonical forms.
 """
 
 from .capacity import CapacityError, DEFAULT_BUDGET, check_budget
 from .field import DEFAULT_POLYS, FieldElement, FieldSpec, field_for_q, is_prime
-from .cyclotomic import CyclotomicNumber, chi, zeta_pow
+from .cyclotomic import chi, packing
 from .codes import (
     CodeFileError,
     LinearCode,

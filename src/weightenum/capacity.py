@@ -16,5 +16,11 @@ class CapacityError(RuntimeError):
 def check_budget(steps: int, budget: int = DEFAULT_BUDGET, what: str = "computation") -> None:
     if steps > budget:
         raise CapacityError(
-            f"{what} needs about {steps} steps, over the budget of {budget}"
+            f"{what} needs about {_count(steps)} steps, over the budget of {_count(budget)}"
         )
+
+
+def _count(x) -> str:
+    # Python writes no int of over 4,300 digits (by default), so a count of
+    # 4,000 digits or more is written as the power of two it is at least.
+    return str(x) if x < 10**3999 else f"2^{int(x).bit_length() - 1}"

@@ -1,141 +1,68 @@
-"""Exact arithmetic in Q(zeta_p) for prime p.
+"""Exact arithmetic in Z[zeta_p] for prime p, packed into Python ints.
 
-A value is stored as its coordinate tuple in the power basis
-{1, zeta, ..., zeta^(p-2)}, with the relation
+A value is an element of Z[x]/(x^p - 1), which maps onto Z[zeta_p] by
+x -> zeta_p, stored as the one int sum_k c_k * 2^(B*k): coordinate c_k is
+a balanced B-bit digit, so signed values add, and multiply by each other
+and by integers, as plain ints.  B is fixed once per computation from a
+bound on the size of every coordinate it will meet, unfolded products
+included, so no digit spills into its neighbour.  Since
+1 + zeta + ... + zeta^(p-1) = 0, a value is 0 in Z[zeta_p] exactly when
+its p coordinates agree, and rational exactly when coordinates 1..p-1
+agree.  For p = 2, zeta = -1 and values are plain ints.
 
-    zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-
-applied eagerly, so equality of coordinate tuples decides equality of
-values and a zero test is exact.  Coordinates are rationals.
-
-The additive character of F_q lives here: chi(a) = zeta_p ** a_0, where a_0
-is the constant coordinate of a in the power basis of the field.
+The additive character of F_q lives here: chi(a) = zeta_p ** alpha_0(a),
+where alpha_0(a) is the constant coordinate of a in the power basis of
+the field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .field import FieldElement, FieldSpec, is_prime
-
-# -- raw coordinate-tuple helpers ---------------------------------------------
+from .field import FieldSpec
 
 
-def _vec_zero(p: int) -> tuple:
-    return (0,) * (p - 1)
+def packing(p: int, bound: int) -> tuple:
+    """(zeta, reduce, value) for values whose coordinates stay at most
+    bound in size.  zeta[k] is zeta_p ** k for k < p; reduce(v) folds a sum
+    or product of values back onto x^0..x^(p-1), and is 0 exactly when v is
+    0 in Z[zeta_p]; value(v) is the integer v equals, and a non-rational v
+    raises RuntimeError."""
+    if p == 2:
+        return (1, -1), int, int
+    # bound < 2^(B-2): digits stay clear of the sign bit of their B bits.
+    B = bound.bit_length() + 2
+    half, mask, top = 1 << (B - 1), (1 << B) - 1, B * p
+    ones = sum(1 << (B * k) for k in range(p))
+    off, low = half * ones, (1 << top) - 1
+
+    def reduce(v):
+        # Fold onto x^0..x^(p-1); 0 when all p coordinates agree (0 in Z[zeta_p]).
+        while (w := ((v + off) & low) - off) != v:
+            v = w + ((v - w) >> top)
+        return 0 if v == (((v + off) & mask) - half) * ones else v
+
+    def value(v):
+        # Rational exactly when coordinates 1..p-1 agree: then c_0 - c_1.
+        v = reduce(v)
+        if -half < (w := v - ((((v + off) >> B) & mask) - half) * ones) < half:
+            return w
+        raise RuntimeError("a packed Z[zeta_p] value that must be rational is not; "
+                           "this indicates an arithmetic bug")
+
+    return [1 << (B * k) for k in range(p)], reduce, value
 
 
-def _zeta_vec(p: int, k: int) -> tuple:
-    """Coordinates of zeta_p ** k, reduced into the power basis."""
-    k %= p
-    if k == p - 1:
-        return (-1,) * (p - 1)
-    return tuple(1 if i == k else 0 for i in range(p - 1))
+def chi(spec: FieldSpec, zeta) -> list:
+    """The additive character by element index, chi[a] = zeta[alpha_0(a)],
+    from the zeta powers of a packing for spec.p."""
+    return [zeta[k] for k in spec.alpha0_table]
 
 
-def _vec_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_scale(a: tuple, c) -> tuple:
-    return tuple(c * x for x in a)
-
-
-def _vec_mul(p: int, a: tuple, b: tuple) -> tuple:
-    # convolution in exponents 0..2p-4, then fold with zeta^p = 1 and the
-    # basis relation for exponent p-1
-    conv = [0] * (2 * p - 3)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    conv[i + j] += x * y
-    out = [0] * (p - 1)
-    for e, c in enumerate(conv):
-        if not c:
-            continue
-        e %= p
-        if e == p - 1:
-            for t in range(p - 1):
-                out[t] -= c
-        else:
-            out[e] += c
-    return tuple(out)
-
-
-# -- public value type --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CyclotomicNumber:
-    p: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if len(self.coeffs) != self.p - 1:
-            raise ValueError(f"expected {self.p - 1} coordinates")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    @classmethod
-    def zero(cls, p: int) -> CyclotomicNumber:
-        return cls(p, _vec_zero(p))
-
-    @classmethod
-    def one(cls, p: int) -> CyclotomicNumber:
-        return cls.from_rational(p, 1)
-
-    @classmethod
-    def from_rational(cls, p: int, value) -> CyclotomicNumber:
-        return cls(p, (Fraction(value),) + (Fraction(0),) * (p - 2))
-
-    def _same_p(self, other: CyclotomicNumber):
-        if self.p != other.p:
-            raise ValueError(f"cyclotomic order mismatch: {self.p} vs {other.p}")
-
-    def __add__(self, other: CyclotomicNumber) -> CyclotomicNumber:
-        self._same_p(other)
-        return CyclotomicNumber(self.p, _vec_add(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> CyclotomicNumber:
-        return CyclotomicNumber(self.p, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: CyclotomicNumber) -> CyclotomicNumber:
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, CyclotomicNumber):
-            self._same_p(other)
-            return CyclotomicNumber(self.p, _vec_mul(self.p, self.coeffs, other.coeffs))
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(self.p, _vec_scale(self.coeffs, Fraction(other)))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        return self * other
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def to_strings(self) -> list[str]:
-        """Serialize as "<num>/<den>" strings, lowest terms, positive denominator."""
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    def __repr__(self) -> str:
-        return f"CyclotomicNumber(p={self.p}, {self.to_strings()})"
-
-
-def zeta_pow(p: int, k: int) -> CyclotomicNumber:
-    """zeta_p ** k in reduced basis form."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    return CyclotomicNumber(p, _zeta_vec(p, k))
-
-
-def chi(spec: FieldSpec, a: FieldElement) -> CyclotomicNumber:
-    """Additive character: zeta_p raised to the constant coordinate of a."""
-    if a.spec != spec:
-        raise ValueError("element does not belong to the given field")
-    return zeta_pow(spec.p, a.coeffs[0])
+def _vec_mul(img: dict, form, reduce) -> dict:
+    """The product of a sparse polynomial {key: value} and a linear form of
+    (key, value) pairs, keys adding as ints: coefficients are reduced and
+    the terms that cancel in Z[zeta_p] dropped."""
+    prod: dict = {}
+    for k, x in img.items():
+        for k2, y in form:
+            prod[k + k2] = prod.get(k + k2, 0) + x * y
+    return {k: r for k, x in prod.items() if (r := reduce(x))}

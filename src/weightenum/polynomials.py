@@ -12,10 +12,11 @@ a composition of single-slot passes, one per dualized slot: chi(w2*a +
 w1*b) = chi(w2*a) * chi(w1*b), so the "both" character matrix is the
 tensor product of the two one-slot matrices, and the passes commute.  They
 run larger code first, so the intermediate of "both" is the enumerator
-with the smaller dual, not the larger one.  A pass expands with integer
-coefficients (in Z[zeta_p] for odd p), checks its own step estimate before
-it runs, and must leave rational coefficients; a non-rational residue is
-mathematically impossible and is reported as an internal error.
+with the smaller dual, not the larger one.  A pass expands with coefficients
+in Z[zeta_p], in the packed form of weightenum.cyclotomic, checks its own
+step estimate before it runs, and must leave rational coefficients; a
+non-rational residue is mathematically impossible and is reported as an
+internal error.
 
 Serialized form (canonical, bit-exact round trip):
 
@@ -40,6 +41,7 @@ from fractions import Fraction
 from .capacity import DEFAULT_BUDGET, CapacityError, check_budget
 from .codes import LinearCode
 from .compositions import census
+from .cyclotomic import _vec_mul, chi, packing
 from .field import FieldSpec, field_for_q
 
 TRANSFORM_VARIANTS = ("first", "second", "both")
@@ -273,12 +275,12 @@ def _slot_pass(spec: FieldSpec, ncells: int, n: int, terms: dict, budget: int) -
     fiber, so combining fibers is integer addition; a term waits in the
     bucket of its next nonzero fiber, where equal exponents merge and cancel
     early.  Each distinct fiber is expanded once, from the cached fiber with
-    its first nonzero exponent lowered by one.  For odd p coefficients are
-    coordinates in Z[x]/(x^p - 1), onto Z[zeta_p], B bits each.  The
-    estimate bounds the products (fiber expansions, then each term's running
-    product of fiber image sizes) plus the q^g-cell unpacking of a bound on
-    the output; its walk also places each term in its first bucket.  The
-    result is keyed in the same fiber order."""
+    its first nonzero exponent lowered by one, one cyclotomic._vec_mul per
+    step; coefficients are Z[zeta_p] values packed by cyclotomic.packing.
+    The estimate bounds the products (fiber expansions, then each term's
+    running product of fiber image sizes) plus the q^g-cell unpacking of a
+    bound on the output; its walk also places each term in its first
+    bucket.  The result is keyed in the same fiber order."""
     p, q = spec.p, spec.q
     m = [math.comb(d + q - 1, q - 1) for d in range(n + 1)]
     # m[a] * m[b] >= m[a + b]: each term costs m[n] or more, so refuse early.
@@ -307,32 +309,10 @@ def _slot_pass(spec: FieldSpec, ncells: int, n: int, terms: dict, budget: int) -
     steps += min(images, math.comb(n + ncells - 1, ncells - 1)) * ncells
     check_budget(steps, budget, "enumerator transform")
 
-    if p == 2:
-        zeta, reduce, value = (1, -1), int, int
-    else:
-        # Every coordinate stays below 2^(B-2) in size: sum|c| * q^n bounds it.
-        B = (sum(map(abs, terms.values())) * q**n).bit_length() + 2
-        half, mask, top = 1 << (B - 1), (1 << B) - 1, B * p
-        ones = sum(1 << (B * k) for k in range(p))
-        off, low = half * ones, (1 << top) - 1
-        zeta = [1 << (B * k) for k in range(p)]
-
-        def reduce(v):
-            # Fold onto x^0..x^(p-1); 0 when all p coordinates agree (0 in Z[zeta_p]).
-            while (w := ((v + off) & low) - off) != v:
-                v = w + ((v - w) >> top)
-            return 0 if v == (((v + off) & mask) - half) * ones else v
-
-        def value(v):
-            # Rational exactly when coordinates 1..p-1 agree: then c_0 - c_1.
-            v = reduce(v)
-            if -half < (w := v - ((((v + off) >> B) & mask) - half) * ones) < half:
-                return w
-            raise RuntimeError("transform produced a non-rational coefficient; "
-                               "this indicates an arithmetic bug")
-
-    mul, a0 = spec.mul_table, spec.alpha0_table
-    forms = [[(1 << (8 * w), zeta[a0[mul[w][a]]]) for w in range(q)] for a in range(q)]
+    # Every coordinate stays at most sum|c| * q^n in size.
+    zeta, reduce, value = packing(p, sum(map(abs, terms.values())) * q**n)
+    mul, ch = spec.mul_table, chi(spec, zeta)
+    forms = [[(1 << (8 * w), ch[mul[w][a]]) for w in range(q)] for a in range(q)]
     local = {0: {0: 1}}
 
     def expand(s):
@@ -343,11 +323,7 @@ def _slot_pass(spec: FieldSpec, ncells: int, n: int, terms: dict, budget: int) -
             s -= 1 << (8 * a)
         img = local[s]
         for s, a in reversed(chain):
-            prod: dict = {}
-            for k, x in img.items():
-                for k2, y in forms[a]:
-                    prod[k + k2] = prod.get(k + k2, 0) + x * y
-            img = local[s] = {k: r for k, x in prod.items() if (r := reduce(x))}
+            img = local[s] = _vec_mul(img, forms[a], reduce)
         return img
 
     placed: dict = {}

@@ -15,11 +15,12 @@ transform once per distinct (variant, enumerator, sizes), an average sweep
 each closed form once per distinct (C1 census, tail census), and a report
 formats each distinct code file once.  The memos live in the sweep and go
 with it; brute-force averages and comparisons run on every instance.  A
-trials count whose reports cannot fit the budget is refused before any
-draw.  The report text is json.dumps(doc, indent=2) + "\n" of
-ClaimCheck.to_doc(), written directly.  Its size is counted in characters
-against the budget as instances are recorded, and run_claim raises
-CapacityError once it is over, before any text is written.
+trials count whose reports cannot fit the budget, or a fold g whose
+closed form cannot, is refused before any draw.  The report text is
+json.dumps(doc, indent=2) + "\n" of ClaimCheck.to_doc(), written
+directly.  Its size is counted in characters against the budget as
+instances are recorded, and run_claim raises CapacityError once it is
+over, before any text is written.
 
 Assertive claims are expected to hold on every instance (the plain and
 averaged character-sum identities, and the closed form at q = 2); the
@@ -369,6 +370,15 @@ def run_claim(
         params["g"] = g
         tag = f" g={g}"
     check = ClaimCheck(claim, params)
+    # The closed form's estimate is at least q^g, so a fold over the budget
+    # is refused at a cell's first instance: refuse it before any draw.  A
+    # bad q raises here as in its sweep; g over the budget's bit length is
+    # over the budget for every q.
+    for qq in qs if row.takes_g else ():
+        field_for_q(qq)
+        if g > budget.bit_length() or qq**g > budget:
+            raise CapacityError(f"the {claim} closed form needs at least {qq}^{g} steps, "
+                                f"over the budget of {budget}")
     # Refuse up front a report that cannot fit: every draw writes at least 75
     # characters, its cell's shortest description and the zero code's text
     # per code (_text_size).  A bad q or n raises here as in its sweep.

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import weightenum.cli as cli
-from weightenum import CLAIMS
+from weightenum import CLAIMS, CapacityError, gfold_cjwe, parse_code_file
 from weightenum.cli import main
 
 REP2 = "field p=2 m=1\nn=2\ngen 1 1\n"
@@ -364,6 +364,31 @@ def test_huge_trials_exit_3(claim):
     assert result.returncode == 3, result.stderr
     assert result.stdout == ""
     assert result.stderr.startswith(f"capacity: the {claim} report needs about 7500000000 ")
+
+
+def test_estimate_over_the_int_text_limit_exit_3(files, capsys):
+    # 900 copies of F_2^16 make a census estimate of about 2^15300, over
+    # the 4,300 digits Python writes by default: the refusal gives it as a
+    # power of two instead of failing on the message.
+    full = files("full.code", "field p=2 m=1\nn=16\n" + "".join(
+        "gen " + " ".join("1" if j == i else "0" for j in range(16)) + "\n" for i in range(16)))
+    codes = [parse_code_file(pathlib.Path(full).read_text())] * 900
+    with pytest.raises(CapacityError, match=r"^census needs about 2\^15\d\d\d steps, over "):
+        gfold_cjwe(codes)
+    result = _python("-m", "weightenum", "gjwe", *[full] * 900)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("capacity: census needs about 2^15")
+
+
+@pytest.mark.parametrize("g", ["28", "30000", "100000000"])
+def test_fold_over_the_budget_exit_3_before_any_draw(g):
+    # The closed form's estimate is at least q^g: 2^28 is over the default
+    # budget of 10^8, so the fold is refused before the 10 * g draws.
+    start = time.perf_counter()
+    result = _python("-m", "weightenum", "verify", "thm52", "--q", "2", "--n", "1", "--g", g)
+    assert time.perf_counter() - start < 10.0
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith(f"capacity: the thm52 closed form needs at least 2^{g} steps")
 
 
 def test_million_trials_exit_3_at_once():

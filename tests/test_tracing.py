@@ -57,3 +57,5 @@ def test_traced_sweeps_match_untraced_and_record_their_kernels():
         for span in KERNEL_SPANS[claim]:
             assert span in spans, (claim, span)
     assert tracer.counts["verify.instances"] == sum(len(c.instances) for c in checks)
+    # The transform's expansion steps run through cyclotomic._vec_mul.
+    assert tracer.counts["cyclotomic.vec_mul_calls"] > 0
