@@ -3,7 +3,7 @@
 Submodules
 ----------
 
-    field         arithmetic in F_q, q = p^m <= 16, canonical element order
+    field         F_q, q = p^m <= 16: elements are indices, arithmetic is table lookups
     cyclotomic    exact Z[zeta_p] values packed into ints; the additive character chi
     codes         linear codes in rref form, duals, monomial matrices, code files
     compositions  composition profiles (tuples) and the {profile: count} census
@@ -17,7 +17,7 @@ Z[zeta_p], and equality of results is literal equality of canonical forms.
 """
 
 from .capacity import CapacityError, DEFAULT_BUDGET, check_budget
-from .field import DEFAULT_POLYS, FieldElement, FieldSpec, field_for_q, is_prime
+from .field import DEFAULT_POLYS, FieldSpec, field_for_q, is_prime
 from .cyclotomic import chi, packing
 from .codes import (
     CodeFileError,

@@ -1,13 +1,15 @@
 """Arithmetic in small finite fields F_q with q = p^m <= 16.
 
-An element is a coefficient vector (a_0, ..., a_{m-1}) over F_p in the power
-basis 1, lam, ..., lam^(m-1), where lam is the residue class of x modulo the
-defining polynomial.  Its canonical position is
+An element is its index in [0, q).  The element with coefficient vector
+(a_0, ..., a_{m-1}) over F_p in the power basis 1, lam, ..., lam^(m-1), where
+lam is the residue class of x modulo the defining polynomial, has index
 
     index(a) = sum_j a_j * p**j,
 
-a bijection onto [0, q).  Every other module orders field elements,
-polynomial variables and composition cells by this index; index 0 is zero.
+a bijection onto [0, q): index 0 is zero, index 1 is one and, for m > 1,
+index p is lam.  All arithmetic is lookups in FieldSpec's tables, and every
+other module orders field elements, polynomial variables and composition
+cells by this index.
 
 Defining polynomials are written constant term first and must be monic and
 primitive: lam generates the multiplicative group.  A monic f of degree m
@@ -21,8 +23,6 @@ powers of the least primitive root mod p.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .capacity import CapacityError
 
@@ -50,13 +50,13 @@ class FieldSpec:
     Immutable once constructed.  The tables come from one walk over the
     powers of the generator, lam for m > 1 and the least primitive root for
     m = 1; a polynomial whose walk does not return to 1 after exactly q - 1
-    steps is refused.  Exposes dense lookup tables indexed by element index
-    for the hot enumeration loops:
+    steps is refused.  Elements are indices in [0, q), and all arithmetic
+    on them goes through dense lookup tables indexed by element index:
 
         add_table[i][j], mul_table[i][j], neg_table[i], inv_table[i]
         alpha0_table[i]  -- constant coordinate of element i
 
-    inv_table[0] is None.
+    inv_table[0] is None: zero has no inverse.
     """
 
     def __init__(self, p: int, m: int, defining_poly=None):
@@ -103,8 +103,6 @@ class FieldSpec:
             self.defining_poly = poly
         self._build_tables(poly)
 
-    # -- construction helpers ------------------------------------------------
-
     def _build_tables(self, poly):
         """Every table from one walk e_0 = 1, e_{k+1} = x * e_k modulo poly,
         which must return to 1 after exactly q - 1 steps: x then generates the
@@ -142,24 +140,6 @@ class FieldSpec:
                 mul[a][b] = antilog[(i + j) % (q - 1)]
         self.mul_table = tuple(map(tuple, mul))
         self.inv_table = tuple(inv)
-        self.elements = tuple(FieldElement(self, tuple(i // w % p for w in places)) for i in range(q))
-
-    # -- public API ----------------------------------------------------------
-
-    def element(self, index: int) -> FieldElement:
-        return self.elements[index]
-
-    def element_order(self) -> list[FieldElement]:
-        """The canonical list w_0 = 0, w_1, ..., w_{q-1}, sorted by index."""
-        return list(self.elements)
-
-    @property
-    def zero(self) -> FieldElement:
-        return self.elements[0]
-
-    @property
-    def one(self) -> FieldElement:
-        return self.elements[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldSpec):
@@ -189,50 +169,3 @@ def field_for_q(q: int, defining_poly=None) -> FieldSpec:
     if t != 1:
         raise ValueError(f"q = {q} is not a prime power")
     return FieldSpec(p, m, defining_poly)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """One element of F_q: coefficient vector in the power basis of lam."""
-
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.spec.m:
-            raise ValueError(f"expected {self.spec.m} coefficients, got {len(self.coeffs)}")
-        if any(c < 0 or c >= self.spec.p for c in self.coeffs):
-            raise ValueError("coefficients must be reduced mod p")
-
-    @property
-    def index(self) -> int:
-        return sum(c * self.spec.p**j for j, c in enumerate(self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def _same_spec(self, other: FieldElement):
-        if self.spec != other.spec:
-            raise ValueError("field mismatch between operands")
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        self._same_spec(other)
-        return self.spec.elements[self.spec.add_table[self.index][other.index]]
-
-    def __neg__(self) -> FieldElement:
-        return self.spec.elements[self.spec.neg_table[self.index]]
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        return self + (-other)
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        self._same_spec(other)
-        return self.spec.elements[self.spec.mul_table[self.index][other.index]]
-
-    def inverse(self) -> FieldElement:
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.spec.elements[self.spec.inv_table[self.index]]
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.index} of F_{self.spec.q})"

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .capacity import DEFAULT_BUDGET, CapacityError
+from .capacity import DEFAULT_BUDGET, CapacityError, _count
 from .averages import (
     avg_cjwe_bruteforce,
     avg_gfold_bruteforce,
@@ -365,10 +365,8 @@ def run_claim(
     qs = (q,) if q is not None else DEFAULT_GRID_Q
     cells = list(itertools.product(qs, (n,) if n is not None else DEFAULT_GRID_N))
     params = {"q": q, "n": n, "trials": trials, "seed": seed, "cells": [list(c) for c in cells]}
-    tag = ""
     if row.takes_g:
         params["g"] = g
-        tag = f" g={g}"
     check = ClaimCheck(claim, params)
     # The closed form's estimate is at least q^g, so a fold over the budget
     # is refused at a cell's first instance: refuse it before any draw.  A
@@ -377,8 +375,9 @@ def run_claim(
     for qq in qs if row.takes_g else ():
         field_for_q(qq)
         if g > budget.bit_length() or qq**g > budget:
-            raise CapacityError(f"the {claim} closed form needs at least {qq}^{g} steps, "
-                                f"over the budget of {budget}")
+            raise CapacityError(f"the {claim} closed form needs at least {qq}^{_count(g)} steps, "
+                                f"over the budget of {_count(budget)}")
+    tag = f" g={g}" if row.takes_g else ""  # g is now at most the budget's bit length
     # Refuse up front a report that cannot fit: every draw writes at least 75
     # characters, its cell's shortest description and the zero code's text
     # per code (_text_size).  A bad q or n raises here as in its sweep.
@@ -389,8 +388,8 @@ def run_claim(
             zero = _file_head(LinearCode._from_rref(field_for_q(qq), nn, ()))
             floor += trials * (len(f"q={qq} n={nn}{tag} random:{trials} #0") + width * len(zero))
         if floor > budget:
-            raise CapacityError(f"the {claim} report needs about {floor} "
-                                f"characters, over the budget of {budget}")
+            raise CapacityError(f"the {claim} report needs about {_count(floor)} "
+                                f"characters, over the budget of {_count(budget)}")
 
     size = 0
     for qq, nn in cells:
@@ -400,7 +399,8 @@ def run_claim(
             size += _text_size(check.instances[-1])
             if size > budget:
                 raise CapacityError(
-                    f"the {claim} report needs about {size} characters, over the budget of {budget}"
+                    f"the {claim} report needs about {_count(size)} characters, "
+                    f"over the budget of {_count(budget)}"
                 )
 
     at_q2 = row.assertive == "q=2" and all(qq == 2 for qq in qs)

@@ -4,51 +4,53 @@ import math
 
 import pytest
 
-from weightenum import CapacityError, FieldElement, FieldSpec, field_for_q, is_prime
+from weightenum import CapacityError, FieldSpec, field_for_q, is_prime
 
 
-def test_element_order_examples():
-    assert [e.index for e in FieldSpec(2, 1).element_order()] == [0, 1]
-    assert [e.index for e in FieldSpec(3, 1).element_order()] == [0, 1, 2]
-    # F_4 with x^2+x+1: 0, 1, lam, lam+1
+ALL_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+def coeffs(spec, i):
+    """The coefficient vector (a_0, ..., a_{m-1}) of element index i."""
+    return tuple(i // spec.p**j % spec.p for j in range(spec.m))
+
+
+def test_canonical_order_examples():
+    # F_4 with x^2+x+1: indices 0, 1, 2, 3 are 0, 1, lam, lam+1
     f4 = FieldSpec(2, 2)
-    assert [e.coeffs for e in f4.element_order()] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert f4.element_order()[0].is_zero()
+    assert [coeffs(f4, i) for i in range(f4.q)] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert [coeffs(FieldSpec(3, 1), i) for i in range(3)] == [(0,), (1,), (2,)]
 
 
 def test_add_examples():
     f2, f3, f4 = FieldSpec(2, 1), FieldSpec(3, 1), FieldSpec(2, 2)
-    assert (f2.element(1) + f2.element(1)).index == 0
-    assert (f3.element(2) + f3.element(2)).index == 1
-    lam, lam1 = f4.element(2), f4.element(3)
-    assert (lam + lam1).index == 1
+    assert f2.add_table[1][1] == 0
+    assert f3.add_table[2][2] == 1
+    assert f4.add_table[2][3] == 1  # lam + (lam+1) = 1
 
 
 def test_mul_examples():
     f3, f4 = FieldSpec(3, 1), FieldSpec(2, 2)
     # lam * lam reduces to lam + 1 modulo x^2+x+1
-    lam = f4.element(2)
-    assert (lam * lam).coeffs == (1, 1)
-    assert (f3.element(2) * f3.element(2)).index == 1
+    assert f4.mul_table[2][2] == 3 and coeffs(f4, 3) == (1, 1)
+    assert f3.mul_table[2][2] == 1
     for spec in (f3, f4):
-        for e in spec.element_order():
-            assert e * spec.one == e
+        assert [spec.mul_table[e][1] for e in range(spec.q)] == list(range(spec.q))
 
 
 def test_inv_examples():
     f2, f3, f4 = FieldSpec(2, 1), FieldSpec(3, 1), FieldSpec(2, 2)
-    assert f3.element(2).inverse().index == 2
-    assert f4.element(2).inverse().index == 3  # lam * (lam+1) = 1
-    assert f2.element(1).inverse().index == 1
-    with pytest.raises(ZeroDivisionError):
-        f3.element(0).inverse()
+    assert f3.inv_table[2] == 2
+    assert f4.inv_table[2] == 3  # lam * (lam+1) = 1
+    assert f2.inv_table[1] == 1
+    assert f3.inv_table[0] is None
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 1), (7, 1), (11, 1), (13, 1)])
 def test_construction(p, m):
     spec = FieldSpec(p, m)
     assert spec.q == p**m
-    assert len(spec.elements) == spec.q
+    assert len(spec.add_table) == len(spec.mul_table) == len(spec.inv_table) == spec.q
 
 
 def test_rejects_bad_parameters():
@@ -148,50 +150,42 @@ def test_field_tables_are_pinned(q, poly, digest):
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("q", ALL_Q)
 def test_field_axioms_exhaustive(q):
     spec = field_for_q(q)
-    elems = spec.element_order()
+    add, mul, neg, inv = spec.add_table, spec.mul_table, spec.neg_table, spec.inv_table
+    elems = range(q)
     for a in elems:
+        assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+        assert add[a][neg[a]] == 0
         for b in elems:
-            assert (a + b) == (b + a)
-            assert (a * b) == (b * a)
+            assert add[a][b] == add[b][a]
+            assert mul[a][b] == mul[b][a]
             for c in elems:
-                assert ((a + b) + c) == (a + (b + c))
-                assert ((a * b) * c) == (a * (b * c))
-                assert (a * (b + c)) == (a * b + a * c)
+                assert add[add[a][b]][c] == add[a][add[b][c]]
+                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+    assert inv[0] is None
     for a in elems[1:]:
-        assert (a * a.inverse()) == spec.one
+        assert mul[a][inv[a]] == 1
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16])
+@pytest.mark.parametrize("q", ALL_Q)
 def test_index_bijection_and_lam_order(q):
     spec = field_for_q(q)
-    assert [e.index for e in spec.element_order()] == list(range(q))
+    # index(a) = sum_j a_j p^j inverts the coefficient vector
+    assert [sum(c * spec.p**j for j, c in enumerate(coeffs(spec, i))) for i in range(q)] == list(range(q))
+    assert len({coeffs(spec, i) for i in range(q)}) == q
+    assert spec.alpha0_table == tuple(coeffs(spec, i)[0] for i in range(q))
     if spec.m > 1:
-        # lam is the element with coefficient vector (0, 1, 0, ...)
-        lam = spec.element(spec.p)
+        # lam is the element with coefficient vector (0, 1, 0, ...): index p
+        lam = spec.p
+        assert coeffs(spec, lam) == (0, 1) + (0,) * (spec.m - 2)
         k, x = 1, lam
-        while x != spec.one:
-            x = x * lam
+        while x != 1:
+            x = spec.mul_table[x][lam]
             k += 1
         assert k == q - 1
-
-
-def test_spec_mismatch_errors():
-    f2, f3 = FieldSpec(2, 1), FieldSpec(3, 1)
-    with pytest.raises(ValueError):
-        f2.element(1) + f3.element(1)
-    with pytest.raises(ValueError):
-        f2.element(1) * f3.element(1)
-
-
-def test_element_validation():
-    f4 = FieldSpec(2, 2)
-    with pytest.raises(ValueError):
-        FieldElement(f4, (1,))
-    with pytest.raises(ValueError):
-        FieldElement(f4, (2, 0))
 
 
 def test_field_for_q():

@@ -2,10 +2,15 @@
 declares no dependencies."""
 
 import ast
+import fnmatch
 import pathlib
+import re
 import sys
+import types
 
 import pytest
+
+import weightenum
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "weightenum").glob("*.py"))
@@ -60,3 +65,19 @@ def test_every_private_helper_has_a_caller_in_the_package():
                 used.update(alias.name for alias in node.names)
     assert defined
     assert [f"{module}: {name}" for module, name in defined if name not in used] == []
+
+
+def test_readme_export_list_matches_the_package_exports():
+    # The README paragraph "The package exports, by module: ..." names every
+    # public name of weightenum and nothing else; `avg_*` stands for a glob.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"The package exports, by module:(.*?)\n\n", readme, re.S).group(1)
+    listed = re.findall(r"`([^`]+)`", paragraph)
+    exports = {name for name, obj in vars(weightenum).items()
+               if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    named = set()
+    for entry in listed:
+        matches = fnmatch.filter(exports, entry)
+        assert matches, f"README lists {entry!r}, which weightenum does not export"
+        named.update(matches)
+    assert sorted(exports - named) == []

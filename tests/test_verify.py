@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 import time
 
 import pytest
@@ -249,6 +250,21 @@ def test_huge_trials_are_refused_before_any_draw(claim):
     with pytest.raises(CapacityError, match=f"the {claim} report needs about 7500000000 char"):
         run_claim(claim, q=2, n=1, trials=100_000_000)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(claim="thm43", trials=10**4300),
+     "the thm43 report needs about 2^14290 characters, over the budget of 100000000"),
+    (dict(claim="lemma42", trials=10**4300, budget=10**4200),
+     "the lemma42 report needs about 2^14290 characters, over the budget of 2^13952"),
+    (dict(claim="thm52", g=10**4300),
+     "the thm52 closed form needs at least 2^2^14284 steps, over the budget of 100000000"),
+])
+def test_refusals_of_counts_too_long_to_print(kwargs, message):
+    # Python writes no int of over 4,300 digits, so such counts are written
+    # as the power of two they are at least, as check_budget writes them.
+    with pytest.raises(CapacityError, match=re.escape(message)):
+        run_claim(q=2, n=1, **kwargs)
 
 
 @pytest.mark.parametrize("claim,chars", [("thm43", 136), ("lemma42", 118)])
