@@ -221,11 +221,11 @@ class AverageReport:
         }
 
     def to_text(self) -> str:
-        rows = (
+        rows = [
             (e, f'"left": "{lv.numerator}/{lv.denominator}",\n'
                 f'      "right": "{rv.numerator}/{rv.denominator}"')
             for e, lv, rv in self.differences
-        )
+        ]
         agreed = "true" if self.agreed else "false"
         return f'{{\n  "agreed": {agreed},\n  "differences": {_term_list_text(rows)}\n}}\n'
 
@@ -233,11 +233,16 @@ class AverageReport:
 def compare(left: EnumeratorPolynomial, right: EnumeratorPolynomial) -> AverageReport:
     if (left.spec.q, left.fold, left.n) != (right.spec.q, right.fold, right.n):
         raise ValueError("cannot compare polynomials of different shape")
-    # Only the exponents whose coefficients differ are sorted and reported.
+    # One lookup per exponent; equal normalized Fractions have equal parts.
+    # Only differing exponents are sorted, below n = 256 as bytes (tuple order).
     lt, rt, zero = left.terms, right.terms, Fraction(0)
-    exps = [e for e, c in lt.items() if rt.get(e, zero) != c]
-    exps += [e for e, c in rt.items() if e not in lt and c]
-    diffs = [(e, lt.get(e, zero), rt.get(e, zero)) for e in sorted(exps)]
+    diffs = []
+    for e, lv in lt.items():
+        rv = rt.get(e, zero)
+        if lv.numerator != rv.numerator or lv.denominator != rv.denominator:
+            diffs.append((e, lv, rv))
+    diffs += [(e, zero, rv) for e, rv in rt.items() if e not in lt and rv]
+    diffs.sort(key=(lambda d: bytes(d[0])) if left.n < 256 else None)
     return AverageReport(diffs, not diffs)
 
 

@@ -25,6 +25,7 @@ with one gen line per generator row and each element written as its index.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -67,6 +68,13 @@ def _rref(spec: FieldSpec, rows, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, mat[:r]))
 
 
+def _check_length(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"code length must be positive, got {n}")
+    if n > MAX_CODE_LENGTH:
+        raise CapacityError(f"code length {n} exceeds the cap {MAX_CODE_LENGTH}")
+
+
 def _indices(values, what: str) -> tuple[int, ...]:
     """values read through operator.index (bools read as 0 and 1); a
     ValueError names the first one that is not an integer."""
@@ -86,29 +94,28 @@ class LinearCode:
     __slots__ = ("spec", "n", "generators", "k", "_words", "_dual", "_tallies")
 
     def __init__(self, spec: FieldSpec, n: int, rows=()):
-        if n < 1:
-            raise ValueError(f"code length must be positive, got {n}")
-        if n > MAX_CODE_LENGTH:
-            raise CapacityError(f"code length {n} exceeds the cap {MAX_CODE_LENGTH}")
+        _check_length(n)
         rows = [_indices(row, "generator entries") for row in rows]
         for row in rows:
             if len(row) != n:
                 raise ValueError(f"generator row of length {len(row)}, expected {n}")
             if any(not (0 <= e < spec.q) for e in row):
                 raise ValueError("generator entries must be element indices in [0, q)")
-        self.spec, self.n = spec, n
-        self.generators = _rref(spec, rows, n)
-        self.k = len(self.generators)
-        self._words = self._dual = None
-        self._tallies = {}  # avg_gfold_bruteforce's image tallies of this code, by stride
+        self._fill(spec, n, _rref(spec, rows, n))
 
     @classmethod
     def _from_rref(cls, spec: FieldSpec, n: int, generators: tuple) -> LinearCode:
         """The code of rref rows the package built (int tuples), kept as they
-        are: __init__ runs on no rows, so only n is checked."""
-        code = cls(spec, n)
-        code.generators, code.k = generators, len(generators)
+        are: only n is checked, and __init__ does not run."""
+        _check_length(n)
+        code = cls.__new__(cls)
+        code._fill(spec, n, generators)
         return code
+
+    def _fill(self, spec: FieldSpec, n: int, generators: tuple) -> None:
+        self.spec, self.n, self.generators, self.k = spec, n, generators, len(generators)
+        self._words = self._dual = None
+        self._tallies = {}  # avg_gfold_bruteforce's image tallies of this code, by stride
 
     @property
     def size(self) -> int:
@@ -246,6 +253,11 @@ def monomial_at(spec: FieldSpec, n: int, j: int) -> MonomialMatrix:
 # -- code file format ---------------------------------------------------------
 
 
+# parse_code_file's fields, one per valid (p, m, poly): FieldSpecs are
+# immutable, q <= 16 leaves finitely many, and a refused one is not kept.
+_file_field = functools.cache(FieldSpec)
+
+
 def parse_code_file(text: str) -> LinearCode:
     spec = None
     n = None
@@ -276,7 +288,7 @@ def parse_code_file(text: str) -> LinearCode:
                 except ValueError as exc:
                     raise CodeFileError(f"line {lineno}: bad poly= value") from exc
             try:
-                spec = FieldSpec(p, m, poly)
+                spec = _file_field(p, m, poly)
             except ValueError as exc:
                 raise CodeFileError(f"line {lineno}: {exc}") from exc
         elif n is None:

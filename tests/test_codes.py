@@ -199,6 +199,37 @@ def test_code_file_errors_carry_line_numbers(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_code_files_share_the_field_of_one_field_line():
+    text = "field p=2 m=2 poly=1,1,1\nn=2\ngen 1 2\n"
+    a, b = parse_code_file(text), parse_code_file("# again\n" + text)
+    assert a == b and a.spec is b.spec
+    assert parse_code_file("field p=3 m=1\nn=1\n").spec is parse_code_file("field p=3 m=1\nn=2\n").spec
+    # A bad poly= is refused with its line number on every parse, not kept.
+    for _ in range(2):
+        with pytest.raises(CodeFileError, match="line 2: .*reducible"):
+            parse_code_file("# x^2 + 1\nfield p=2 m=2 poly=1,0,1\nn=2\n")
+
+
+@pytest.mark.parametrize("n,error,message", [
+    (0, ValueError, "code length must be positive, got 0"),
+    (-3, ValueError, "code length must be positive, got -3"),
+    (17, CapacityError, "code length 17 exceeds the cap 16"),
+])
+def test_built_codes_check_their_length_without_init(monkeypatch, n, error, message):
+    for build in (lambda: LinearCode(F2, n), lambda: LinearCode._from_rref(F2, n, ())):
+        with pytest.raises(error, match=message):
+            build()
+
+    def refuse(*args):
+        raise AssertionError("_from_rref ran __init__")
+
+    monkeypatch.setattr(LinearCode, "__init__", refuse)
+    with pytest.raises(error, match=message):
+        LinearCode._from_rref(F2, n, ())
+    code = LinearCode._from_rref(F2, 3, ((1, 0, 1),))
+    assert (code.n, code.k, code.size, code.dual().k) == (3, 1, 2, 2)
+
+
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
 def test_all_codes_counts(q, n):
     spec = field_for_q(q)

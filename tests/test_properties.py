@@ -30,6 +30,10 @@ def _polynomial_pairs(draw):
     # Top each exponent up in its last cell to the common degree n.
     n = max((sum(e) for e in exps), default=draw(st.integers(0, 5)))
     exps = [tuple(e[:-1]) + (e[-1] + n - sum(e),) for e in exps]
+    return _pair(draw, q, fold, n, exps)
+
+
+def _pair(draw, q, fold, n, exps):
     spec = field_for_q(q)
     # Each side keeps a random subset; a shared term keeps or redraws its coefficient.
     left = {e: draw(_COEFS) for e in exps if draw(st.booleans())}
@@ -41,8 +45,26 @@ def _polynomial_pairs(draw):
     return EnumeratorPolynomial(spec, fold, n, left), EnumeratorPolynomial(spec, fold, n, right)
 
 
-@given(_polynomial_pairs())
-def test_canonical_text_is_json_dumps_and_round_trips(pair):
+@st.composite
+def _sparse_pairs(draw):
+    """Two polynomials of degree 0-12 over up to 64 cells: an exponent puts
+    a drawn share of its n units in one cell and the rest one by one in
+    drawn cells, so most cells are 0 and some reach 10 or more."""
+    q, fold = draw(st.sampled_from([(2, 1), (5, 1), (3, 2), (4, 3), (8, 2), (2, 6)]))
+    ncells, n = q**fold, draw(st.integers(0, 12))
+    cell = st.integers(0, ncells - 1)
+    exps = []
+    for _ in range(draw(st.integers(0, 10))):
+        exp = [0] * ncells
+        heavy = draw(st.integers(0, n))
+        exp[draw(cell)] += heavy
+        for c in draw(st.lists(cell, min_size=n - heavy, max_size=n - heavy)):
+            exp[c] += 1
+        exps.append(tuple(exp))
+    return _pair(draw, q, fold, n, exps)
+
+
+def _check_texts(pair):
     for poly in pair:
         text = poly.to_text()
         assert text == json.dumps(poly.to_doc(), indent=2) + "\n"
@@ -50,6 +72,16 @@ def test_canonical_text_is_json_dumps_and_round_trips(pair):
         assert again == poly and again.to_text() == text
     report = compare(*pair)
     assert report.to_text() == json.dumps(report.to_doc(), indent=2) + "\n"
+
+
+@given(_polynomial_pairs())
+def test_canonical_text_is_json_dumps_and_round_trips(pair):
+    _check_texts(pair)
+
+
+@given(_sparse_pairs())
+def test_sparse_texts_across_the_one_digit_boundary(pair):
+    _check_texts(pair)
 
 
 # Report strings: any text (quotes, backslashes, non-ASCII), and code-file

@@ -17,6 +17,7 @@ import pytest
 
 from weightenum import (
     CLAIMS,
+    AverageReport,
     EnumeratorPolynomial,
     FieldSpec,
     avg_gfold_bruteforce,
@@ -83,6 +84,45 @@ def test_writer_on_signed_fractions_and_long_exponents():
     text = poly.to_text()
     assert '"coef": "-7/3"' in text and "\n        299,\n" in text
     _check_poly(poly)
+
+
+@pytest.mark.parametrize("fold", [1, 2])
+@pytest.mark.parametrize("n", [9, 10])
+def test_writer_at_the_one_digit_boundary(n, fold):
+    # At n = 9 every cell is one digit and each exponent goes through the
+    # template; at n = 10 the exponents with a cell of 10 are joined.
+    spec, ncells = field_for_q(4), 4**fold
+    rng = random.Random(100 * n + fold)
+    ones = {tuple(n if i == j else 0 for i in range(ncells)) for j in range(ncells)}
+    exps = set(ones)
+    while len(exps) < 60:
+        e = [0] * ncells
+        for _ in range(n):
+            e[rng.randrange(ncells)] += 1
+        exps.add(tuple(e))
+    exps = list(exps)
+    rng.shuffle(exps)
+    left = EnumeratorPolynomial(spec, fold, n, {e: Fraction(rng.randrange(1, 50), rng.randrange(1, 7)) for e in exps})
+    right = EnumeratorPolynomial(spec, fold, n, {
+        e: c + (e in ones or rng.random() < 0.3) for e, c in left.terms.items() if rng.random() < 0.9
+    })
+    assert list(left.terms) != sorted(left.terms)
+    for poly in (left, right):
+        _check_poly(poly)
+    report = compare(left, right)
+    exps = [e for e, _, _ in report.differences]
+    assert exps == sorted(exps) and any(max(e) == n for e in exps)
+    _assert_json_dumps_text(report)
+    _assert_json_dumps_text(compare(right, left))
+
+
+def test_report_writer_on_rows_the_template_cannot_take():
+    # Cells of 10 and 256, and rows of another length than the first, are
+    # joined cell by cell between rows that the template writes.
+    rows = [(0, 9), (10, 0), (3, 256), (1, 2, 3), (4, 5)]
+    report = AverageReport([(e, Fraction(i), Fraction(-1, i + 2)) for i, e in enumerate(rows)], False)
+    text = _assert_json_dumps_text(report)
+    assert "\n        10,\n" in text and "\n        256\n" in text
 
 
 def test_writer_on_reports_that_agree_and_differ():
