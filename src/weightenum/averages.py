@@ -29,7 +29,9 @@ from fractions import Fraction
 from .capacity import DEFAULT_BUDGET, check_budget
 from .codes import LinearCode, MonomialMatrix, apply_monomial_code, monomial_group_order
 from .compositions import _code_shape, census, count_profiles, iter_compositions, tail_indices
-from .polynomials import EnumeratorPolynomial, _term_list_text, macwilliams_transform
+from .polynomials import (
+    EnumeratorPolynomial, _exp_key, _one_digit, _term_list_text, macwilliams_transform,
+)
 
 
 # -- brute-force averages -------------------------------------------------------
@@ -226,23 +228,24 @@ class AverageReport:
                 f'      "right": "{rv.numerator}/{rv.denominator}"')
             for e, lv, rv in self.differences
         ]
+        digits = _one_digit([e for e, _, _ in self.differences])
         agreed = "true" if self.agreed else "false"
-        return f'{{\n  "agreed": {agreed},\n  "differences": {_term_list_text(rows)}\n}}\n'
+        return f'{{\n  "agreed": {agreed},\n  "differences": {_term_list_text(rows, digits)}\n}}\n'
 
 
 def compare(left: EnumeratorPolynomial, right: EnumeratorPolynomial) -> AverageReport:
     if (left.spec.q, left.fold, left.n) != (right.spec.q, right.fold, right.n):
         raise ValueError("cannot compare polynomials of different shape")
     # One lookup per exponent; equal normalized Fractions have equal parts.
-    # Only differing exponents are sorted, below n = 256 as bytes (tuple order).
+    # Only the differing exponents are sorted.
     lt, rt, zero = left.terms, right.terms, Fraction(0)
-    diffs = []
-    for e, lv in lt.items():
-        rv = rt.get(e, zero)
-        if lv.numerator != rv.numerator or lv.denominator != rv.denominator:
-            diffs.append((e, lv, rv))
+    diffs = [
+        (e, lv, rv) for e, lv in lt.items()
+        if (rv := rt.get(e, zero)).numerator != lv.numerator or rv.denominator != lv.denominator
+    ]
     diffs += [(e, zero, rv) for e, rv in rt.items() if e not in lt and rv]
-    diffs.sort(key=(lambda d: bytes(d[0])) if left.n < 256 else None)
+    key = _exp_key(left.n)
+    diffs.sort(key=lambda d: key(d[0]))
     return AverageReport(diffs, not diffs)
 
 

@@ -68,13 +68,6 @@ def _rref(spec: FieldSpec, rows, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, mat[:r]))
 
 
-def _check_length(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"code length must be positive, got {n}")
-    if n > MAX_CODE_LENGTH:
-        raise CapacityError(f"code length {n} exceeds the cap {MAX_CODE_LENGTH}")
-
-
 def _indices(values, what: str) -> tuple[int, ...]:
     """values read through operator.index (bools read as 0 and 1); a
     ValueError names the first one that is not an integer."""
@@ -94,28 +87,29 @@ class LinearCode:
     __slots__ = ("spec", "n", "generators", "k", "_words", "_dual", "_tallies")
 
     def __init__(self, spec: FieldSpec, n: int, rows=()):
-        _check_length(n)
+        if n < 1:
+            raise ValueError(f"code length must be positive, got {n}")
+        if n > MAX_CODE_LENGTH:
+            raise CapacityError(f"code length {n} exceeds the cap {MAX_CODE_LENGTH}")
         rows = [_indices(row, "generator entries") for row in rows]
         for row in rows:
             if len(row) != n:
                 raise ValueError(f"generator row of length {len(row)}, expected {n}")
             if any(not (0 <= e < spec.q) for e in row):
                 raise ValueError("generator entries must be element indices in [0, q)")
-        self._fill(spec, n, _rref(spec, rows, n))
+        self.spec, self.n = spec, n
+        self.generators = _rref(spec, rows, n)
+        self.k = len(self.generators)
+        self._words = self._dual = None
+        self._tallies = {}  # avg_gfold_bruteforce's image tallies of this code, by stride
 
     @classmethod
     def _from_rref(cls, spec: FieldSpec, n: int, generators: tuple) -> LinearCode:
         """The code of rref rows the package built (int tuples), kept as they
-        are: only n is checked, and __init__ does not run."""
-        _check_length(n)
-        code = cls.__new__(cls)
-        code._fill(spec, n, generators)
+        are: __init__ runs on no rows, so only n is checked."""
+        code = cls(spec, n)
+        code.generators, code.k = generators, len(generators)
         return code
-
-    def _fill(self, spec: FieldSpec, n: int, generators: tuple) -> None:
-        self.spec, self.n, self.generators, self.k = spec, n, generators, len(generators)
-        self._words = self._dual = None
-        self._tallies = {}  # avg_gfold_bruteforce's image tallies of this code, by stride
 
     @property
     def size(self) -> int:

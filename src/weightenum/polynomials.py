@@ -27,11 +27,12 @@ with terms sorted lexicographically by exponent tuple (below n = 256 as
 the exponents' bytes, which sort the same way).  The canonical text is
 written directly and is byte-identical to json.dumps(doc, indent=2) + "\n"
 of that document; one term-list writer serves enumerators and comparison
-reports.  An exponent of one-digit cells (every exponent when n <= 9) has a
-fixed layout: the writer fills one template of q^g "0" cells per list by
-overwriting its digit bytes with the exponent's bytes translated to digits.
-Any other exponent is joined cell by cell with str.join.  The pretty
-renderer names variables x[i] / x[i,j] / x[i1,...,ig] by element indices.
+reports.  It picks its path once per list.  Exponents of one length and
+one-digit cells (every list when n <= 9) have a fixed layout: each
+overwrites the digit bytes of one template of q^g "0" cells with its bytes
+translated to digits.  In any other list each exponent is joined cell by
+cell with str.join.  The pretty renderer names variables x[i] / x[i,j] /
+x[i1,...,ig] by element indices.
 """
 
 from __future__ import annotations
@@ -141,11 +142,10 @@ class EnumeratorPolynomial:
         }
 
     def to_text(self) -> str:
-        if self.n < 256:  # every cell fits a byte, and bytes sort in tuple order
-            rows = sorted(zip(map(bytes, self.terms), self.terms.values()))
-        else:
-            rows = self.sorted_terms()
-        terms = _term_list_text([(e, f'"coef": "{c.numerator}/{c.denominator}"') for e, c in rows])
+        rows = sorted(zip(map(_exp_key(self.n), self.terms), self.terms.values()))
+        terms = _term_list_text(
+            [(e, f'"coef": "{c.numerator}/{c.denominator}"') for e, c in rows], self.n <= 9
+        )
         return (
             f'{{\n  "fold": {self.fold},\n  "q": {self.spec.q},\n  "n": {self.n},\n'
             f'  "terms": {terms}\n}}\n'
@@ -367,28 +367,37 @@ class _CellText(dict):
         return text
 
 
+def _exp_key(n: int):
+    """Sort key of degree-n exponents: bytes below 256 (same order as tuples)."""
+    return bytes if n < 256 else tuple
+
+
 # bytes.translate table: a cell in [0, 9] becomes its digit, a larger one a
 # byte that ASCII decoding refuses.
 _DIGITS = bytes(range(48, 58)).ljust(256, b"\x80")
 
 
-def _term_list_text(rows) -> str:
+def _one_digit(exps) -> bool:
+    """Whether exps (tuples) have one length and every cell in [0, 9]."""
+    return len(set(map(len, exps))) == 1 and set().union(*exps).issubset(range(10))
+
+
+def _term_list_text(rows, digits: bool) -> str:
     """Indent-2 JSON text of a term list from a list of (exp, rest) rows: exp
     a tuple or bytes of int cells, rest the object's other members already
-    written ('"coef": "1/2"'), free of characters JSON escapes.  An exponent
-    of one-digit cells overwrites the digits of a template of the first
-    row's length; any other exponent is joined cell by cell."""
+    written ('"coef": "1/2"'), free of characters JSON escapes.  With digits
+    set (see _one_digit) the exponents overwrite the digits of one template;
+    otherwise each is joined cell by cell."""
     if not rows:
         return "[]"
-    cell = _CellText().__getitem__
-    step = 1 + len(_CELL_SEP)
-    template = bytearray(_CELL_SEP.join("0" * len(rows[0][0])), "ascii")
-    items = []
-    for e, rest in rows:
-        try:
+    if digits:
+        step = 1 + len(_CELL_SEP)
+        template = bytearray(_CELL_SEP.join("0" * len(rows[0][0])), "ascii")
+        items = []
+        for e, rest in rows:
             template[::step] = bytes(e).translate(_DIGITS)
-            cells = template.decode("ascii")
-        except ValueError:  # a cell outside [0, 9], or a row of another length
-            cells = _CELL_SEP.join(map(cell, e))
-        items.append(f"{cells}{_EXP_END}{rest}")
+            items.append(f"{template.decode('ascii')}{_EXP_END}{rest}")
+    else:
+        cell = _CellText().__getitem__
+        items = [f"{_CELL_SEP.join(map(cell, e))}{_EXP_END}{rest}" for e, rest in rows]
     return f'[\n    {{\n      "exp": [\n        {_TERM_SEP.join(items)}\n    }}\n  ]'

@@ -215,17 +215,10 @@ def test_code_files_share_the_field_of_one_field_line():
     (-3, ValueError, "code length must be positive, got -3"),
     (17, CapacityError, "code length 17 exceeds the cap 16"),
 ])
-def test_built_codes_check_their_length_without_init(monkeypatch, n, error, message):
+def test_built_codes_check_their_length(n, error, message):
     for build in (lambda: LinearCode(F2, n), lambda: LinearCode._from_rref(F2, n, ())):
         with pytest.raises(error, match=message):
             build()
-
-    def refuse(*args):
-        raise AssertionError("_from_rref ran __init__")
-
-    monkeypatch.setattr(LinearCode, "__init__", refuse)
-    with pytest.raises(error, match=message):
-        LinearCode._from_rref(F2, n, ())
     code = LinearCode._from_rref(F2, 3, ((1, 0, 1),))
     assert (code.n, code.k, code.size, code.dual().k) == (3, 1, 2, 2)
 

@@ -29,6 +29,7 @@ from weightenum import (
     random_code,
     run_claim,
 )
+from weightenum.polynomials import _one_digit
 
 F2 = FieldSpec(2, 1)
 F3 = FieldSpec(3, 1)
@@ -89,8 +90,8 @@ def test_writer_on_signed_fractions_and_long_exponents():
 @pytest.mark.parametrize("fold", [1, 2])
 @pytest.mark.parametrize("n", [9, 10])
 def test_writer_at_the_one_digit_boundary(n, fold):
-    # At n = 9 every cell is one digit and each exponent goes through the
-    # template; at n = 10 the exponents with a cell of 10 are joined.
+    # At n = 9 every cell is one digit and the lists go through the
+    # template; at n = 10 some cell reaches 10 and they are joined.
     spec, ncells = field_for_q(4), 4**fold
     rng = random.Random(100 * n + fold)
     ones = {tuple(n if i == j else 0 for i in range(ncells)) for j in range(ncells)}
@@ -116,13 +117,19 @@ def test_writer_at_the_one_digit_boundary(n, fold):
     _assert_json_dumps_text(compare(right, left))
 
 
-def test_report_writer_on_rows_the_template_cannot_take():
-    # Cells of 10 and 256, and rows of another length than the first, are
-    # joined cell by cell between rows that the template writes.
-    rows = [(0, 9), (10, 0), (3, 256), (1, 2, 3), (4, 5)]
+@pytest.mark.parametrize("rows,digits", [
+    ([(0, 9), (4, 5), (9, 0)], True),
+    ([(0, 9), (10, 0)], False),
+    ([(3, 256), (1, 2)], False),
+    ([(0, 9), (1, 2, 3), (4, 5)], False),
+    ([(0, 9), (-1, 2)], False),
+])
+def test_report_writer_picks_its_path_per_list(rows, digits):
+    # Any cell outside [0, 9], or rows of two lengths, send the whole list
+    # down the join path; the text is the same either way.
+    assert _one_digit(rows) is digits
     report = AverageReport([(e, Fraction(i), Fraction(-1, i + 2)) for i, e in enumerate(rows)], False)
-    text = _assert_json_dumps_text(report)
-    assert "\n        10,\n" in text and "\n        256\n" in text
+    _assert_json_dumps_text(report)
 
 
 def test_writer_on_reports_that_agree_and_differ():
