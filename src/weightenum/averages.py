@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .capacity import DEFAULT_BUDGET, check_budget
 from .codes import LinearCode, MonomialMatrix, apply_monomial_code, monomial_group_order
-from .compositions import _code_shape, census, count_profiles, iter_compositions, tail_indices
+from .compositions import _code_shape, census, count_profiles, iter_compositions
 from .polynomials import (
     EnumeratorPolynomial, _exp_key, _one_digit, _term_list_text, macwilliams_transform,
 )
@@ -47,34 +47,35 @@ def avg_gfold_bruteforce(
     perm; stage 2 walks itertools.product over each permuted word's
     column of scaled values, which yields its image under every diagonal,
     and adds the word's count to m(v); stage 3 profiles each distinct v
-    once against every tail with weight m(v).  The m(v) sum to
-    |G| * |C1|; each stage checks its own step estimate, also when stages
-    1-2 are skipped: their result is kept on C1 per stride q^(g-1)."""
+    once against every tail with weight m(v), through count_profiles and
+    charged as it says.  The m(v) sum to |G| * |C1|; each stage checks its
+    own step estimate, also when stages 1-2 are skipped: their result does
+    not depend on the fold and is kept on C1."""
     spec, n = _code_shape(codes)
     q = spec.q
     g = len(codes)
     what = "brute-force average"
-    c1, stride = codes[0], q ** (g - 1)
+    c1 = codes[0]
     check_budget(math.factorial(n) * c1.size * n, budget, what)
-    if stride in c1._tallies:  # stages 1-2 ran on this C1 object at this stride
-        images, distinct = c1._tallies[stride]
+    if c1._tally is not None:  # stages 1-2 ran on this C1 object
+        images, distinct = c1._tally
         check_budget((q - 1) ** n * distinct * n, budget, what)
     else:
         words1 = c1.codeword_list(budget=budget)
         permuted = Counter(itertools.chain.from_iterable(map(itertools.permutations, words1)))
         check_budget((q - 1) ** n * len(permuted) * n, budget, what)
-        # cols[x]: x times every nonzero scalar, in first-coordinate cell offsets.
-        cols = [[row[x] * stride for row in spec.mul_table[1:]] for x in range(q)]
+        # cols[x]: x times every nonzero scalar.
+        cols = [[row[x] for row in spec.mul_table[1:]] for x in range(q)]
         images: dict[tuple[int, ...], int] = {}
         for w, m in permuted.items():
             for v in itertools.product(*map(cols.__getitem__, w)):
                 images[v] = images.get(v, 0) + m
-        c1._tallies[stride] = images, len(permuted)
+        c1._tally = images, len(permuted)
 
-    tail_count = math.prod(c.size for c in codes[1:])
-    check_budget(len(images) * tail_count * n, budget, what)
-    tails = tail_indices([c.codeword_list(budget=budget) for c in codes[1:]], q, n)
-    counts = count_profiles(images.items(), tails, q**g)
+    pairs = len(images) * math.prod(c.size for c in codes[1:])
+    check_budget(pairs * (n + q**g), budget, what)
+    tail_lists = [c.codeword_list(budget=budget) for c in codes[1:]]
+    counts = count_profiles(images.items(), tail_lists, q, n)
     group = monomial_group_order(spec, n)
     fracs = {c: Fraction(c, group) for c in set(counts.values())}
     terms = {e: fracs[c] for e, c in counts.items()}

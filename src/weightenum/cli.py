@@ -15,7 +15,7 @@ from .capacity import DEFAULT_BUDGET, CapacityError
 from .averages import avg_cjwe_bruteforce, avg_gfold_bruteforce, avg_gfold_closedform
 from .codes import CodeFileError, format_code_file, parse_code_file, random_code
 from .field import field_for_q
-from .polynomials import cjwe, cwe, gfold_cjwe, macwilliams_transform
+from .polynomials import cjwe, gfold_cjwe, macwilliams_transform
 from .verify import CLAIMS, run_claim
 
 _VARIANTS = {"i": "first", "ii": "second", "iii": "both"}
@@ -25,7 +25,7 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CodeFileError(f"{path}: {exc}") from exc
     try:
         return parse_code_file(text)
@@ -56,19 +56,8 @@ def _poly_text(args, poly) -> str:
     return poly.pretty() + "\n" if args.pretty else poly.to_text()
 
 
-def _cmd_cwe(args) -> int:
-    (code,) = _load_all([args.path])
-    _emit(args, _poly_text(args, cwe(code, budget=args.budget)))
-    return 0
-
-
-def _cmd_cjwe(args) -> int:
-    c1, c2 = _load_all([args.path1, args.path2])
-    _emit(args, _poly_text(args, cjwe(c1, c2, budget=args.budget)))
-    return 0
-
-
-def _cmd_gjwe(args) -> int:
+def _cmd_enumerate(args) -> int:
+    """cwe, cjwe and gjwe: the joint enumerator of the given codes."""
     codes = _load_all(args.paths)
     _emit(args, _poly_text(args, gfold_cjwe(codes, budget=args.budget)))
     return 0
@@ -146,21 +135,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pretty", action="store_true",
                        help="human-readable output instead of canonical form")
 
-    p = sub.add_parser("cwe", help="complete weight enumerator of one code")
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(func=_cmd_cwe)
-
-    p = sub.add_parser("cjwe", help="complete joint weight enumerator of a pair")
-    p.add_argument("path1")
-    p.add_argument("path2")
-    common(p)
-    p.set_defaults(func=_cmd_cjwe)
-
-    p = sub.add_parser("gjwe", help="joint weight enumerator of g codes")
-    p.add_argument("paths", nargs="+")
-    common(p)
-    p.set_defaults(func=_cmd_gjwe)
+    # cwe and cjwe append their paths to args.paths one metavar at a time:
+    # nargs=2 with a tuple metavar breaks argparse's missing-argument error.
+    for name, metavars, help_ in (
+        ("cwe", ["path"], "complete weight enumerator of one code"),
+        ("cjwe", ["path1", "path2"], "complete joint weight enumerator of a pair"),
+        ("gjwe", [], "joint weight enumerator of g codes"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        for metavar in metavars:
+            p.add_argument("paths", action="append", metavar=metavar)
+        if not metavars:
+            p.add_argument("paths", nargs="+")
+        common(p)
+        p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("dual", help="dual code, canonical generator file")
     p.add_argument("path")

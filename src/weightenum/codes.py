@@ -84,7 +84,7 @@ class LinearCode:
     n, rows) checks every entry of rows from outside, then reduces them; each
     code the package builds from its own rows comes from _from_rref."""
 
-    __slots__ = ("spec", "n", "generators", "k", "_words", "_dual", "_tallies")
+    __slots__ = ("spec", "n", "generators", "k", "_words", "_dual", "_tally")
 
     def __init__(self, spec: FieldSpec, n: int, rows=()):
         if n < 1:
@@ -101,7 +101,7 @@ class LinearCode:
         self.generators = _rref(spec, rows, n)
         self.k = len(self.generators)
         self._words = self._dual = None
-        self._tallies = {}  # avg_gfold_bruteforce's image tallies of this code, by stride
+        self._tally = None  # avg_gfold_bruteforce's stage 1-2 result for this code
 
     @classmethod
     def _from_rref(cls, spec: FieldSpec, n: int, generators: tuple) -> LinearCode:

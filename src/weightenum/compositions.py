@@ -10,12 +10,15 @@ and a profile is a plain dense tuple of q^g counts in that order.  The
 same tuples index enumerator polynomial variables and census keys: a
 census is a {profile: count} dict.  count_profiles is the one loop that
 counts profiles of word tuples, for the census and for the brute-force
-average.
+average: it lays out the cells, and each (word, tail tuple) pair it counts
+costs n + q^g steps (n positions, then one q^g-cell key built and hashed),
+which its callers charge before calling it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .capacity import DEFAULT_BUDGET, check_budget
 from .codes import LinearCode
@@ -31,27 +34,28 @@ def iter_compositions(total: int, cells: int):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
 
 
-def tail_indices(word_lists, q: int, n: int) -> list[list[int]]:
-    """Per-position partial cell index of every tuple in the product of
-    word_lists, in product order (one all-zero entry for no lists)."""
-    tails = []
-    for combo in itertools.product(*word_lists):
+def count_profiles(heads, tail_lists, q: int, n: int) -> dict[tuple[int, ...], int]:
+    """Weighted profile counts of every pair of a head and a tuple from the
+    product of tail_lists, heads outer and tuples in product order.  Heads
+    are (word, weight) pairs and tail_lists the word lists of the other
+    g - 1 codes, all in element indices; each pair adds its head's weight to
+    its fold-g profile.  The head takes the first coordinate: position i
+    lies in cell head[i] * q^(g-1) + t_i, t_i the fold-(g-1) cell of the
+    tail tuple there.  The package's one profile loop; its callers charge
+    pairs * (n + q^g) steps before calling it."""
+    stride = q ** len(tail_lists)
+    ncells = stride * q
+    tails = []  # per-position fold-(g-1) cell index of each tail tuple
+    for combo in itertools.product(*tail_lists):
         t = [0] * n
         for w in combo:
             for i in range(n):
                 t[i] = t[i] * q + w[i]
         tails.append(t)
-    return tails
-
-
-def count_profiles(heads, tails, ncells: int) -> dict[tuple[int, ...], int]:
-    """Weighted profile counts of all (head, tail) pairs, heads outer: heads
-    are (head, weight) pairs, position i of a pair lies in cell head[i] +
-    tail[i], and each pair adds its head's weight.  The package's one
-    profile loop."""
+    positions = range(n)
     counts: dict[tuple[int, ...], int] = {}
-    for head, weight in heads:
-        positions = range(len(head))
+    for word, weight in heads:
+        head = [a * stride for a in word]
         for tail in tails:
             key = [0] * ncells
             for i in positions:
@@ -75,14 +79,7 @@ def census(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> dict[tup
     """Joint profile census of tuples from the product of the given codes:
     {profile: number of codeword tuples with it}, absent profiles at 0."""
     spec, n = _code_shape(codes)
-    q = spec.q
-    g = len(codes)
-    total = 1
-    for c in codes:
-        total *= c.size
-    # Each tuple walks n positions and builds and hashes a q^g-cell key.
-    check_budget(total * (n + q**g), budget, "census")
+    tuples = math.prod(c.size for c in codes)
+    check_budget(tuples * (n + spec.q ** len(codes)), budget, "census")
     word_lists = [c.codeword_list(budget=budget) for c in codes]
-    stride = q ** (g - 1)
-    heads = [([a * stride for a in w], 1) for w in word_lists[0]]
-    return count_profiles(heads, tail_indices(word_lists[1:], q, n), q**g)
+    return count_profiles(((w, 1) for w in word_lists[0]), word_lists[1:], spec.q, n)

@@ -250,11 +250,8 @@ def test_bruteforce_matches_literal_group_walk_at_workload_lengths(q, n, dims):
 def test_bruteforce_budget_at_its_limit():
     codes = _seeded_codes(3, 2, 3, 7)
     c1, n = codes[0], codes[0].n
-    group = monomial_group_order(c1.spec, n)
-    # Nothing the single group * pairs * n estimate allowed is refused.
-    old = group * math.prod(c.size for c in codes) * n
-    assert avg_gfold_bruteforce(codes, budget=old) == avg_gfold_bruteforce(codes)
-    # The binding estimate is the largest of the three stage estimates.
+    # The binding estimate is the largest of the three stage estimates;
+    # stage 3 charges each (image, tail) pair n + q^g steps, as census does.
     words = c1.codeword_list()
     perms = list(itertools.permutations(range(n)))
     permuted = {tuple(u[p] for p in perm) for u in words for perm in perms}
@@ -262,18 +259,17 @@ def test_bruteforce_budget_at_its_limit():
     stages = (
         len(perms) * c1.size * n,
         (c1.spec.q - 1) ** n * len(permuted) * n,
-        len(images) * codes[1].size * n,
+        len(images) * codes[1].size * (n + c1.spec.q**2),
     )
-    assert max(stages) <= old
-    avg_gfold_bruteforce(codes, budget=max(stages))
+    assert avg_gfold_bruteforce(codes, budget=max(stages)) == avg_gfold_bruteforce(codes)
     with pytest.raises(CapacityError):
         avg_gfold_bruteforce(codes, budget=max(stages) - 1)
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2)])
 def test_one_first_code_against_many_partners_equals_fresh_codes(q, n):
-    # C1 keeps its stage 1-2 tally per stride: averages of one C1 object at
-    # g = 2, then 3, then 2 equal the same averages of fresh objects.
+    # C1 keeps one stage 1-2 tally for every fold: averages of one C1 object
+    # at g = 2, then 3, then 2 equal the same averages of fresh objects.
     spec = field_for_q(q)
     pool = list(all_codes(spec, n))
     c1 = pool[len(pool) // 2]
@@ -292,21 +288,33 @@ def test_one_first_code_against_many_partners_equals_fresh_codes(q, n):
 def test_kept_tally_still_checks_its_estimates(tail_dim):
     # A refusal does not depend on call history: once C1 keeps its tally,
     # budgets at and just under each stage estimate pass and fail as they
-    # do on fresh objects.  With the zero code as tail, stage 2 binds.
+    # do on fresh objects.  With the zero code as tail, stage 3 profiles each
+    # image once.
     codes = _seeded_codes(3, 2, 3, 7)
-    c1, n = codes[0], codes[0].n
     if tail_dim is not None:
-        codes[1] = random_code(c1.spec, n, tail_dim, 0)
+        codes[1] = random_code(codes[0].spec, codes[0].n, tail_dim, 0)
+    _check_kept_tally_estimates(codes)
+
+
+def test_kept_tally_still_checks_stage_2_when_it_binds():
+    # Alone (g = 1, q cells a profile), the same C1 binds at stage 2.
+    codes = _seeded_codes(3, 2, 3, 7)[:1]
+    assert _check_kept_tally_estimates(codes) == 1
+
+
+def _check_kept_tally_estimates(codes):
+    """Run the kept-tally budget check; return the binding stage's index."""
+    c1, n = codes[0], codes[0].n
     kept = avg_gfold_bruteforce(codes)
     words = c1.codeword_list()
     permuted = {p for u in words for p in itertools.permutations(u)}
     images = {M.apply(u) for M in monomial_group(c1.spec, n) for u in words}
+    tails = math.prod(c.size for c in codes[1:])
     stages = (
         math.factorial(n) * c1.size * n,
         (c1.spec.q - 1) ** n * len(permuted) * n,
-        len(images) * codes[1].size * n,
+        len(images) * tails * (n + c1.spec.q ** len(codes)),
     )
-    assert tail_dim is None or max(stages) == stages[1]
     for budget in sorted({s + d for s in stages for d in (-1, 0)}):
         outcomes = []
         for tuple_ in (codes, [LinearCode(c.spec, c.n, c.generators) for c in codes]):
@@ -315,6 +323,7 @@ def test_kept_tally_still_checks_its_estimates(tail_dim):
             except CapacityError:
                 outcomes.append(None)
         assert outcomes[0] == outcomes[1] == (kept if budget >= max(stages) else None)
+    return stages.index(max(stages))
 
 
 def test_yoshida_tallies_each_pool_code_once(monkeypatch):
@@ -333,6 +342,24 @@ def test_yoshida_tallies_each_pool_code_once(monkeypatch):
     assert first.equal_count == 256 and len(calls) == 16
     assert run_claim("yoshida", q=2, n=3).to_text() == first.to_text()
     assert len(calls) == 32
+
+
+def test_one_tally_serves_every_fold(monkeypatch):
+    # Stage 2 scales words by field elements only, so one C1 object averaged
+    # at g = 2, then 3, then 2 runs stage 1 (the permuted-word Counter) once.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return Counter(*args, **kwargs)
+
+    Counter = averages.Counter
+    monkeypatch.setattr(averages, "Counter", counted)
+    codes = _seeded_codes(3, 3, 2, 5)
+    kept = [avg_gfold_bruteforce(codes[:g]) for g in (2, 3, 2)]
+    assert len(calls) == 1
+    for g, poly in zip((2, 3, 2), kept):
+        assert poly == avg_gfold_bruteforce([LinearCode(c.spec, c.n, c.generators) for c in codes[:g]])
 
 
 def test_bruteforce_refuses_before_tallying():

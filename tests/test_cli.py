@@ -185,6 +185,46 @@ def test_parse_error_exit_2(files, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("field p=2 m=1 poly\nn=2\n", 1),  # a field token without =
+        ("field p=2 m=2 poly=1,x,1\nn=2\n", 1),
+        ("field p=2 m=1\nn=two\n", 2),
+        ("field p=2 m=1\nn=0\n", 2),
+        ("field p=2 m=1\nn=2\ngen 1 a\n", 3),
+        ("field p=2 m=1\n", 1),  # no n= line
+    ],
+)
+def test_code_file_errors_name_the_path_and_line(files, capsys, text, line):
+    path = files("bad.code", text)
+    assert main(["cwe", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line {line}: ")
+
+
+def test_unreadable_path_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "missing.code")
+    assert main(["cwe", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_undecodable_file_names_its_path(tmp_path, capsys):
+    path = tmp_path / "binary.code"
+    path.write_bytes(b"field p=2 m=1\nn=2\ngen 1 \xff\n")
+    assert main(["cwe", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_codes_over_different_fields_or_lengths_exit_2(files, capsys):
+    p2, p3, rep3 = files("a.code", REP2), files("b.code", SPAN3), files("c.code", REP3)
+    assert main(["cjwe", p2, p3]) == 2
+    assert capsys.readouterr().err == "error: input codes are over different fields\n"
+    assert main(["gjwe", p2, rep3]) == 2
+    assert capsys.readouterr().err == "error: input codes have different lengths\n"
+
+
 def test_capacity_exit_3(files, capsys):
     p1, p2 = files("a.code", SPAN3), files("b.code", ZERO3)
     rc = main(["avg", "--method", "brute", "--budget", "5", p1, p2])
@@ -466,3 +506,62 @@ def test_byte_determinism_across_runs(files, capsys):
         _, out = run(capsys, "avg", "--method", "brute", p1, p2)
         outputs.add(out)
     assert len(outputs) == 1
+
+
+# -- memory gate: budget-passing inputs end in exit 0 or 3 under an address-space cap
+
+# (q, n, k, seed) of each `random-code` file the gate reads.
+_GATE_FILES = {"a": (8, 3, 3, 1), "b": (8, 3, 1, 2), "f": (16, 3, 3, 1), "h": (16, 3, 2, 2),
+               "u": (16, 2, 1, 1)}
+# Each argv with its exit code: the q = 8 and q = 16 averages over n = 3 and
+# the same files under the closed form and the census are refused (their
+# output alone would be gigabytes); q = 16, n = 2 at g = 2 (256 cells) runs.
+_GATE_RUNS = {
+    "avg a b a": 3, "avg f f": 3, "avg f h": 3, "transform f h --average": 3,
+    "avg --method closed a b a": 3, "avg --method closed f h": 3,
+    "gjwe a b a": 3, "gjwe f h": 3,
+    "avg u u": 0, "avg --method closed u u": 0, "gjwe u u": 0, "transform u u --average": 0,
+}
+_GATE_BYTES = 2 * 10**9
+
+
+@pytest.fixture(scope="module")
+def gate_runs(tmp_path_factory):
+    resource = pytest.importorskip("resource")
+    from concurrent.futures import ThreadPoolExecutor
+
+    from weightenum import field_for_q, format_code_file, random_code
+
+    root = tmp_path_factory.mktemp("gate")
+    for name, (q, n, k, seed) in _GATE_FILES.items():
+        text = format_code_file(random_code(field_for_q(q), n, k, seed))
+        (root / f"{name}.code").write_text(text, encoding="utf-8")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+
+    def cap():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (_GATE_BYTES, _GATE_BYTES))
+
+    def one(cmd):
+        argv = [str(root / f"{w}.code") if w in _GATE_FILES else w for w in cmd.split()]
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "weightenum", *argv], env=env, preexec_fn=cap,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        return result.returncode, result.stderr, time.perf_counter() - start
+
+    # Two children at a time: most runs spend their ~2 s listing the q = 16
+    # full space's images before the refusal.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(_GATE_RUNS, pool.map(one, _GATE_RUNS)))
+
+
+@pytest.mark.parametrize("cmd", list(_GATE_RUNS))
+def test_budget_passing_inputs_end_under_a_memory_cap(gate_runs, cmd):
+    rc, err, elapsed = gate_runs[cmd]
+    assert "Traceback" not in err, err[-2000:]
+    assert rc == _GATE_RUNS[cmd], err[-2000:]
+    assert (rc == 3) == err.startswith("capacity: ")
+    assert elapsed < 30.0
