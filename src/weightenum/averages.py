@@ -48,34 +48,35 @@ def avg_gfold_bruteforce(
     column of scaled values, which yields its image under every diagonal,
     and adds the word's count to m(v); stage 3 profiles each distinct v
     once against every tail with weight m(v), through count_profiles and
-    charged as it says.  The m(v) sum to |G| * |C1|; each stage checks its
-    own step estimate, also when stages 1-2 are skipped: their result does
-    not depend on the fold and is kept on C1."""
+    charged as it says.  The m(v) sum to |G| * |C1|.  Stages 1-2 do not
+    depend on the fold, so their result is kept on C1.  Each stage checks
+    its own step estimate, also when stages 1-2 are skipped, and all three
+    before stage 2 lists any image: the group maps a word onto exactly the
+    words of its weight, so the images are the words of C1's weights."""
     spec, n = _code_shape(codes)
     q = spec.q
     g = len(codes)
     what = "brute-force average"
     c1 = codes[0]
+    tally = c1._tally  # (images, distinct permuted words) once stages 1-2 ran
     check_budget(math.factorial(n) * c1.size * n, budget, what)
-    if c1._tally is not None:  # stages 1-2 ran on this C1 object
-        images, distinct = c1._tally
-        check_budget((q - 1) ** n * distinct * n, budget, what)
-    else:
-        words1 = c1.codeword_list(budget=budget)
+    words1 = c1.codeword_list(budget=budget)
+    if tally is None:
         permuted = Counter(itertools.chain.from_iterable(map(itertools.permutations, words1)))
-        check_budget((q - 1) ** n * len(permuted) * n, budget, what)
+    distinct = len(permuted) if tally is None else tally[1]
+    check_budget((q - 1) ** n * distinct * n, budget, what)
+    image_count = sum(math.comb(n, w) * (q - 1) ** w for w in {n - u.count(0) for u in words1})
+    check_budget(image_count * math.prod(c.size for c in codes[1:]) * (n + q**g), budget, what)
+    if tally is None:
         # cols[x]: x times every nonzero scalar.
         cols = [[row[x] for row in spec.mul_table[1:]] for x in range(q)]
         images: dict[tuple[int, ...], int] = {}
         for w, m in permuted.items():
             for v in itertools.product(*map(cols.__getitem__, w)):
                 images[v] = images.get(v, 0) + m
-        c1._tally = images, len(permuted)
-
-    pairs = len(images) * math.prod(c.size for c in codes[1:])
-    check_budget(pairs * (n + q**g), budget, what)
+        tally = c1._tally = images, distinct
     tail_lists = [c.codeword_list(budget=budget) for c in codes[1:]]
-    counts = count_profiles(images.items(), tail_lists, q, n)
+    counts = count_profiles(tally[0].items(), tail_lists, q, n)
     group = monomial_group_order(spec, n)
     fracs = {c: Fraction(c, group) for c in set(counts.values())}
     terms = {e: fracs[c] for e, c in counts.items()}
@@ -235,8 +236,7 @@ class AverageReport:
 
 
 def compare(left: EnumeratorPolynomial, right: EnumeratorPolynomial) -> AverageReport:
-    if (left.spec.q, left.fold, left.n) != (right.spec.q, right.fold, right.n):
-        raise ValueError("cannot compare polynomials of different shape")
+    left._same_shape(right)
     # One lookup per exponent; equal normalized Fractions have equal parts.
     # Only the differing exponents are sorted.
     lt, rt, zero = left.terms, right.terms, Fraction(0)

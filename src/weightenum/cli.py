@@ -36,11 +36,11 @@ def _load(path: str):
 def _load_all(paths):
     codes = [_load(p) for p in paths]
     first = codes[0]
-    for code in codes[1:]:
+    for path, code in zip(paths[1:], codes[1:]):
         if code.spec != first.spec:
-            raise CodeFileError("input codes are over different fields")
+            raise CodeFileError(f"{path}: code is over a different field than {paths[0]}")
         if code.n != first.n:
-            raise CodeFileError("input codes have different lengths")
+            raise CodeFileError(f"{path}: code has a different length than {paths[0]}")
     return codes
 
 

@@ -12,15 +12,18 @@ instances the same way: exhaustive when affordable, else seeded draws.
 Shared work is done once per cell, the oracle side still per instance: a
 transform sweep computes each ordered code pair's enumerator once and each
 transform once per distinct (variant, enumerator, sizes), an average sweep
-each closed form once per distinct (C1 census, tail census), and a report
-formats each distinct code file once.  The memos live in the sweep and go
-with it; brute-force averages and comparisons run on every instance.  A
-trials count whose reports cannot fit the budget, or a fold g whose
-closed form cannot, is refused before any draw.  The report text is
-json.dumps(doc, indent=2) + "\n" of ClaimCheck.to_doc(), written
-directly.  Its size is counted in characters against the budget as
-instances are recorded, and run_claim raises CapacityError once it is
-over, before any text is written.
+each census once per distinct code list and each closed form once per
+distinct (C1 census, tail census), a lemma sweep decodes each code and
+matrix once, and a report formats each distinct code file once.  Each memo
+is made where its sweep or report starts and goes with it: a functools.cache
+of a kernel found as a module global, so a tracer's rebinding reaches every
+call, or for transforms and closed forms a dict keyed by what they read.
+Brute-force averages and comparisons run on every instance.  A trials
+count whose reports cannot fit the budget, or a fold g whose closed form
+cannot, is refused before any draw.  The report text is json.dumps(doc,
+indent=2) + "\n" of ClaimCheck.to_doc(), written directly.  Its size is
+counted in characters against the budget as instances are recorded, and
+run_claim raises CapacityError once it is over, before any text is written.
 
 Assertive claims are expected to hold on every instance (the plain and
 averaged character-sum identities, and the closed form at q = 2); the
@@ -30,6 +33,7 @@ produce without asserting agreement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -69,14 +73,6 @@ _EXHAUSTIVE_STEP_CAP = 2_000_000
 _AUTO_TRIALS = 10
 
 
-class _CodeTexts(dict):
-    """Code file text per distinct code: a report formats each code once."""
-
-    def __missing__(self, code):
-        text = self[code] = format_code_file(code)
-        return text
-
-
 @dataclass
 class ClaimCheck:
     claim: str
@@ -86,12 +82,14 @@ class ClaimCheck:
     unequal_count: int = 0
     assertive: bool = False
     passed: bool = True
-    _code_texts: dict = field(default_factory=_CodeTexts, init=False, repr=False, compare=False)
+    # Code file text per distinct code: a report formats each code once.
+    _code_text: object = field(default_factory=lambda: functools.cache(format_code_file),
+                               init=False, repr=False, compare=False)
 
     def add(self, description: str, codes: list[LinearCode], equal: bool, **extra):
         entry = {
             "description": description,
-            "codes": list(map(self._code_texts.__getitem__, codes)),
+            "codes": list(map(self._code_text, codes)),
             "equal": equal,
         }
         entry.update(extra)
@@ -207,14 +205,8 @@ def _sweep_transform(row, spec, n, g, trials, seed, budget):
     q = spec.q
     pairs, mode = _code_tuples(spec, n, 2, (q * q) ** n * q ** (2 * n), trials, seed, _draw_pair)
     kernel = avg_cjwe_bruteforce if row.averaged else cjwe
-    memo, transforms = {}, {}
-
-    def enumerator(c1, c2):
-        key = (c1.generators, c2.generators)
-        if key not in memo:
-            memo[key] = kernel(c1, c2, budget=budget)
-        return memo[key]
-
+    enumerator = functools.cache(lambda c1, c2: kernel(c1, c2, budget=budget))
+    transforms = {}
     for c1, c2 in pairs:
         base, sizes = enumerator(c1, c2), (c1.size, c2.size)
         # One lookup per pair: the transforms of one (terms, sizes) by variant.
@@ -237,16 +229,11 @@ def _sweep_average(row, spec, n, g, trials, seed, budget):
     g, draw = (g, _draw_tuple) if row.takes_g else (2, _draw_pair)
     est = monomial_group_order(spec, n) * spec.q ** (g * n) * n
     tuples, mode = _code_tuples(spec, n, g, est, trials, seed, draw)
-    censuses, closed = {}, {}
-
-    def census_key(part):
-        key = tuple(c.generators for c in part)
-        if key not in censuses:
-            censuses[key] = frozenset(census(part, budget=budget).items()) if part else ()
-        return censuses[key]
-
+    census_key = functools.cache(
+        lambda *part: frozenset(census(part, budget=budget).items()) if part else ())
+    closed = {}
     for codes in tuples:
-        key = census_key(codes[:1]), census_key(codes[1:])
+        key = census_key(*codes[:1]), census_key(*codes[1:])
         if key not in closed:
             closed[key] = avg_gfold_closedform(codes, budget=budget)
         report = compare(closed[key], avg_gfold_bruteforce(codes, budget=budget))
@@ -261,14 +248,10 @@ def _sweep_lemma31(row, spec, n, g, trials, seed, budget):
     draws, mode = _instances(trials, seed, count * order * 400,
                              lambda: range(count * order),
                              lambda rng: rng.randrange(count) * order + rng.randrange(order))
-    codes, matrices = {}, {}
+    code_of = functools.cache(lambda i: code_at(spec, n, i))
+    matrix_of = functools.cache(lambda i: monomial_at(spec, n, i))
     for j in draws:
-        code_i, m_i = divmod(j, order)
-        if code_i not in codes:
-            codes[code_i] = code_at(spec, n, code_i)
-        if m_i not in matrices:
-            matrices[m_i] = monomial_at(spec, n, m_i)
-        code, M = codes[code_i], matrices[m_i]
+        code, M = code_of(j // order), matrix_of(j % order)
         extra = {"matrix": {"perm": list(M.perm), "diag": list(M.diag)}}
         yield mode, [code], check_lemma31(code, M).equal, extra
 
@@ -282,14 +265,15 @@ def _sweep_lemma42(row, spec, n, g, trials, seed, budget):
     count, R = code_count(spec, n), math.comb(n + q - 1, q - 1)
     draws, mode = _instances(trials, seed, count * (q - 1) ** n * q**n * n,
                              lambda: range(count * R), lambda rng: rng.randrange(count * R))
-    per_code = {}
+
+    @functools.cache
+    def per_code(i):
+        code = code_at(spec, n, i)
+        return code, list(lemma42_results(code, budget=budget).items())
+
     for j in draws:
-        code_i, r_i = divmod(j, R)
-        if code_i not in per_code:
-            code = code_at(spec, n, code_i)
-            per_code[code_i] = code, list(lemma42_results(code, budget=budget).items())
-        code, results = per_code[code_i]
-        r, result = results[r_i]
+        code, results = per_code(j // R)
+        r, result = results[j % R]
         extra = {"r": list(r), "lhs": result.lhs, "rhs": result.rhs}
         yield mode, [code], result.equal, extra
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -21,6 +22,7 @@ from weightenum import (
     avg_macwilliams,
     check_lemma31,
     check_lemma42,
+    cjwe,
     compare,
     cwe,
     field_for_q,
@@ -368,6 +370,33 @@ def test_bruteforce_refuses_before_tallying():
     with pytest.raises(CapacityError):
         avg_gfold_bruteforce([rep12, rep12])
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_images_are_the_words_of_the_first_codes_weights(q):
+    # The group maps a word onto exactly the words of its weight, so stage 3
+    # counts C1's images without listing them: sum over C1's weights w of
+    # C(n, w) (q-1)^w.
+    spec = field_for_q(q)
+    for n in (1, 2, 3) if q <= 9 else (1, 2):
+        for k in range(n + 1):
+            c1 = random_code(spec, n, k, seed=q * 10 + n * 4 + k)
+            avg_gfold_bruteforce([c1])
+            weights = {n - u.count(0) for u in c1.codeword_list()}
+            assert sum(math.comb(n, w) * (q - 1) ** w for w in weights) == len(c1._tally[0])
+
+
+@pytest.mark.parametrize("other", [
+    cjwe(SPAN3, SPAN3),  # q = 3
+    cwe(REP2),  # fold 1
+    cjwe(LinearCode(F2, 3, []), LinearCode(F2, 3, [])),  # n = 3
+])
+def test_compare_and_add_refuse_a_shape_mismatch(other):
+    base = cjwe(REP2, SEL2)  # q = 2, fold 2, n = 2
+    for op in (compare, operator.add):
+        for left, right in ((base, other), (other, base)):
+            with pytest.raises(ValueError, match=r"shape mismatch \(q, fold, n\)"):
+                op(left, right)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -8,7 +8,9 @@ import time
 import pytest
 
 import weightenum.cli as cli
-from weightenum import CLAIMS, CapacityError, gfold_cjwe, parse_code_file
+from weightenum import (
+    CLAIMS, CapacityError, field_for_q, format_code_file, gfold_cjwe, parse_code_file, random_code,
+)
 from weightenum.cli import main
 
 REP2 = "field p=2 m=1\nn=2\ngen 1 1\n"
@@ -220,9 +222,13 @@ def test_undecodable_file_names_its_path(tmp_path, capsys):
 def test_codes_over_different_fields_or_lengths_exit_2(files, capsys):
     p2, p3, rep3 = files("a.code", REP2), files("b.code", SPAN3), files("c.code", REP3)
     assert main(["cjwe", p2, p3]) == 2
-    assert capsys.readouterr().err == "error: input codes are over different fields\n"
+    assert capsys.readouterr().err == f"error: {p3}: code is over a different field than {p2}\n"
     assert main(["gjwe", p2, rep3]) == 2
-    assert capsys.readouterr().err == "error: input codes have different lengths\n"
+    assert capsys.readouterr().err == f"error: {rep3}: code has a different length than {p2}\n"
+    # Of three paths, the one that disagrees is named, with the first.
+    sel2 = files("d.code", SEL2)
+    assert main(["gjwe", p2, sel2, rep3]) == 2
+    assert capsys.readouterr().err == f"error: {rep3}: code has a different length than {p2}\n"
 
 
 def test_capacity_exit_3(files, capsys):
@@ -523,14 +529,14 @@ _GATE_RUNS = {
     "avg u u": 0, "avg --method closed u u": 0, "gjwe u u": 0, "transform u u --average": 0,
 }
 _GATE_BYTES = 2 * 10**9
+# The brute force refuses these before stage 2 lists any image.
+_GATE_BRUTE_REFUSALS = ("avg a b a", "avg f f", "avg f h", "transform f h --average")
 
 
 @pytest.fixture(scope="module")
 def gate_runs(tmp_path_factory):
     resource = pytest.importorskip("resource")
     from concurrent.futures import ThreadPoolExecutor
-
-    from weightenum import field_for_q, format_code_file, random_code
 
     root = tmp_path_factory.mktemp("gate")
     for name, (q, n, k, seed) in _GATE_FILES.items():
@@ -552,8 +558,6 @@ def gate_runs(tmp_path_factory):
         )
         return result.returncode, result.stderr, time.perf_counter() - start
 
-    # Two children at a time: most runs spend their ~2 s listing the q = 16
-    # full space's images before the refusal.
     with ThreadPoolExecutor(max_workers=2) as pool:
         return dict(zip(_GATE_RUNS, pool.map(one, _GATE_RUNS)))
 
@@ -564,4 +568,17 @@ def test_budget_passing_inputs_end_under_a_memory_cap(gate_runs, cmd):
     assert "Traceback" not in err, err[-2000:]
     assert rc == _GATE_RUNS[cmd], err[-2000:]
     assert (rc == 3) == err.startswith("capacity: ")
-    assert elapsed < 30.0
+    assert elapsed < (5.0 if cmd in _GATE_BRUTE_REFUSALS else 30.0)
+
+
+def test_brute_force_refuses_before_listing_any_image(files, capsys):
+    # f is the q = 16, n = 3 full space, so its images are its own 4,096
+    # words: stage 3 needs 4,096 * 256 * (3 + 16^2) steps against h's 256
+    # words, refused before stage 2 lists 13.8M diagonal images.
+    f, h = (files(f"{name}.code", format_code_file(random_code(field_for_q(16), 3, k, seed)))
+            for name, k, seed in (("f", 3, 1), ("h", 2, 2)))
+    for argv in (["avg", f, h], ["transform", f, h, "--average"]):
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 0.5
+        assert "needs about 271581184 steps" in capsys.readouterr().err

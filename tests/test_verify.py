@@ -232,6 +232,34 @@ def test_each_code_file_is_formatted_once_per_report(monkeypatch, claim, kwargs)
     assert len(calls) == 2 * len(texts)
 
 
+@pytest.mark.parametrize("claim,kwargs", [
+    ("lemma31", {}),
+    ("lemma31", dict(q=4, n=3, trials=40, seed=1)),
+    ("lemma42", {}),
+    ("lemma42", dict(q=3, n=4, trials=50, seed=1)),
+])
+def test_lemma_sweeps_decode_each_index_once_per_cell(monkeypatch, claim, kwargs):
+    # Each drawn code index, and for lemma31 each matrix index, is decoded
+    # once per cell: once per distinct code (matrix) its instances read.
+    names = ("code_at", "monomial_at") if claim == "lemma31" else ("code_at",)
+    calls = {name: _counting(monkeypatch, name) for name in names}
+    check = run_claim(claim, **kwargs)
+    read = {"code_at": set(), "monomial_at": set()}
+    for inst in check.instances:
+        cell = tuple(inst["description"].split()[:2])
+        read["code_at"].add((cell, inst["codes"][0]))
+        if "matrix" in inst:
+            read["monomial_at"].add((cell, str(inst["matrix"])))
+    for name, decoded in calls.items():
+        keys = [(spec.q, n, i) for spec, n, i in decoded]
+        assert len(keys) == len(set(keys)) == len(read[name])
+    # A second report decodes them again.
+    run_claim(claim, **kwargs)
+    assert {name: len(c) for name, c in calls.items()} == {
+        name: 2 * len(read[name]) for name in names
+    }
+
+
 def test_report_over_budget_is_refused():
     # The kernels of this cell need at most 405 steps; its report text does
     # not fit in 5,000 characters.
