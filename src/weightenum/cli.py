@@ -3,7 +3,7 @@
 Commands: cwe, cjwe, gjwe, dual, avg, transform, verify, random-code.
 Outputs are canonical serializations (code files or JSON documents) unless
 --pretty is given.  Exit codes: 0 success or report-only, 1 assertive claim
-violated, 2 usage or parse error, 3 capacity exceeded.
+violated, 2 usage, parse or output error, 3 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -45,11 +45,15 @@ def _load_all(paths):
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise ValueError(f"{args.out or '<stdout>'}: {exc}") from exc
 
 
 def _poly_text(args, poly) -> str:

@@ -16,7 +16,9 @@ with the smaller dual, not the larger one.  A pass expands with coefficients
 in Z[zeta_p], in the packed form of weightenum.cyclotomic, checks its own
 step estimate before it runs, and must leave rational coefficients; a
 non-rational residue is mathematically impossible and is reported as an
-internal error.
+internal error.  The image of a fiber (generalized Krawtchouk coefficients)
+depends only on the field, so each field keeps the images its passes build;
+outputs, estimates and refusals do not depend on what is kept.
 
 Serialized form (canonical, bit-exact round trip):
 
@@ -273,6 +275,13 @@ def macwilliams_transform(
         P.spec, P.fold, P.n, {get(raw): fracs[c] for raw, c in rows})
 
 
+# Each field's fiber images, built on first use: FieldSpec -> [width,
+# reduce, value, forms, images, size].  images maps a fiber exponent (one
+# byte per cell) to its image, packed for bounds of width bits (0 for p = 2);
+# size counts the stored image terms.
+_FIBER_IMAGES: dict = {}
+
+
 def _slot_pass(spec: FieldSpec, ncells: int, n: int, terms: dict, budget: int) -> dict:
     """x_a -> sum_w chi(w * a_slot) x_{a with a_slot := w} on integer terms
     keyed by exponents packed one byte per cell in fiber order: a fiber is
@@ -280,13 +289,17 @@ def _slot_pass(spec: FieldSpec, ncells: int, n: int, terms: dict, budget: int) -
     holds the cell whose slot coordinate is a.  Each linear form stays in its
     fiber, so combining fibers is integer addition; a term waits in the
     bucket of its next nonzero fiber, where equal exponents merge and cancel
-    early.  Each distinct fiber is expanded once, from the cached fiber with
-    its first nonzero exponent lowered by one, one cyclotomic._vec_mul per
-    step; coefficients are Z[zeta_p] values packed by cyclotomic.packing.
-    The estimate bounds the products (fiber expansions, then each term's
-    running product of fiber image sizes) plus the q^g-cell unpacking of a
-    bound on the output; its walk also places each term in its first
-    bucket.  The result is keyed in the same fiber order."""
+    early.  A fiber exponent's image depends only on the field, so it is
+    read from the field's _FIBER_IMAGES entry, or built there from the image
+    with its first nonzero exponent lowered by one, one cyclotomic._vec_mul
+    per step; coefficients are Z[zeta_p] values packed by the entry's
+    cyclotomic.packing.  A pass rebuilds the entry at its own bound when it
+    needs a wider packing (a wider one is as exact; p = 2 has one), or when
+    the stored image terms plus those it may add would pass its budget.
+    The estimate bounds the products (every fiber expansion, stored or not,
+    then each term's running product of fiber image sizes) plus the q^g-cell
+    unpacking of a bound on the output; its walk also places each term in
+    its first bucket.  The result is keyed in the same fiber order."""
     p, q = spec.p, spec.q
     m = [math.comb(d + q - 1, q - 1) for d in range(n + 1)]
     # m[a] * m[b] >= m[a + b]: each term costs m[n] or more, so refuse early.
@@ -311,15 +324,21 @@ def _slot_pass(spec: FieldSpec, ncells: int, n: int, terms: dict, budget: int) -
             size *= m[d]
             steps += size
         images += size
-    steps += sum(q * d * m[d - 1] for d in degree.values())
+    # A degree-d fiber adds at most d images of m[d - 1] * q terms or fewer.
+    steps += (grow := sum(q * d * m[d - 1] for d in degree.values()))
     steps += min(images, math.comb(n + ncells - 1, ncells - 1)) * ncells
     check_budget(steps, budget, "enumerator transform")
 
     # Every coordinate stays at most sum|c| * q^n in size.
-    zeta, reduce, value = packing(p, sum(map(abs, terms.values())) * q**n)
-    mul, ch = spec.mul_table, chi(spec, zeta)
-    forms = [[(1 << (8 * w), ch[mul[w][a]]) for w in range(q)] for a in range(q)]
-    local = {0: {0: 1}}
+    bound = sum(map(abs, terms.values())) * q**n
+    width = bound.bit_length() if p > 2 else 0
+    entry = _FIBER_IMAGES.get(spec)
+    if entry is None or entry[0] < width or entry[5] + grow > budget:
+        zeta, reduce, value = packing(p, bound)
+        mul, ch = spec.mul_table, chi(spec, zeta)
+        forms = [[(1 << (8 * w), ch[mul[w][a]]) for w in range(q)] for a in range(q)]
+        entry = _FIBER_IMAGES[spec] = [width, reduce, value, forms, {0: {0: 1}}, 0]
+    _, reduce, value, forms, local, _ = entry
 
     def expand(s):
         chain = []
@@ -330,6 +349,7 @@ def _slot_pass(spec: FieldSpec, ncells: int, n: int, terms: dict, budget: int) -
         img = local[s]
         for s, a in reversed(chain):
             img = local[s] = _vec_mul(img, forms[a], reduce)
+            entry[5] += len(img)
         return img
 
     placed: dict = {}

@@ -219,6 +219,35 @@ def test_undecodable_file_names_its_path(tmp_path, capsys):
     assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
 
 
+def _python_m(*argv):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "weightenum", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize("target", ["", "missing/out.json"])
+def test_unwritable_out_exit_2(files, tmp_path, target):
+    # A directory, or a path whose parent is missing: a message, no traceback.
+    out = str(tmp_path / target)
+    result = _python_m("cwe", files("rep2.code", REP2), "--out", out)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {out}: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_failed_stdout_write_exit_2(files, capsys, monkeypatch):
+    class Full:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["cwe", files("rep2.code", REP2)]) == 2
+    assert capsys.readouterr().err == "error: <stdout>: [Errno 28] No space left on device\n"
+
+
 def test_codes_over_different_fields_or_lengths_exit_2(files, capsys):
     p2, p3, rep3 = files("a.code", REP2), files("b.code", SPAN3), files("c.code", REP3)
     assert main(["cjwe", p2, p3]) == 2

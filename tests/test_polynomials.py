@@ -21,7 +21,7 @@ from weightenum import (
     macwilliams_transform,
     random_code,
 )
-from weightenum.polynomials import TRANSFORM_VARIANTS
+from weightenum.polynomials import _FIBER_IMAGES, TRANSFORM_VARIANTS
 
 F2 = FieldSpec(2, 1)
 F3 = FieldSpec(3, 1)
@@ -388,6 +388,99 @@ def test_transform_rejects_bad_sizes_before_any_work(sizes):
     bad = next(s for s in sizes if not (isinstance(s, int) and s > 0))
     with pytest.raises(ValueError, match=f"got {bad}$"):
         macwilliams_transform(cjwe(SPAN3, SPAN3), "both", sizes, budget=1)
+
+
+# -- fiber images kept per field ----------------------------------------------
+
+
+def _stored_terms(spec) -> int:
+    return sum(len(img) for s, img in _FIBER_IMAGES[spec][4].items() if s)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_transform_text_is_independent_of_the_fiber_tables(q):
+    # The same transforms at fold 2 and 3 with the field's images cleared,
+    # stored, and rebuilt at a wider packing.
+    spec = field_for_q(q)
+    rng = random.Random(2800 + q)
+    cases = []
+    for g, n in ((2, 2), (3, 1)):
+        codes = [random_code(spec, n, rng.randrange(n + 1), rng.randrange(2**32)) for _ in range(g)]
+        expected = [
+            gfold_cjwe([c.dual() if j in dualized else c for j, c in enumerate(codes)]).to_text()
+            for dualized in ((0,), (1,), (0, 1))
+        ]
+        cases.append((gfold_cjwe(codes), [c.size for c in codes], expected))
+
+    def check(state):
+        for base, sizes, expected in cases:
+            got = [macwilliams_transform(base, v, sizes).to_text() for v in TRANSFORM_VARIANTS]
+            assert got == expected, (base.fold, state)
+
+    _FIBER_IMAGES.clear()
+    check("cold")
+    width = _FIBER_IMAGES[spec][0]
+    check("warm")
+    # An averaged base times 2^64 has coefficients far over any above, so
+    # for odd p its pass rebuilds the table at a wider packing.
+    c1, zero = random_code(spec, 2, 1, q), LinearCode(spec, 2, [])
+    wide = avg_cjwe_bruteforce(c1, zero).scale(1 << 64)
+    got = macwilliams_transform(wide, "first", (c1.size, 1))
+    assert got == avg_cjwe_bruteforce(c1.dual(), zero).scale(1 << 64)
+    assert (_FIBER_IMAGES[spec][0] > width) == (spec.p > 2)
+    check("wider")
+
+
+@pytest.mark.parametrize("q,variant", [(2, "first"), (3, "second"), (4, "both"), (5, "both")])
+def test_transform_budget_outcome_is_independent_of_the_fiber_tables(q, variant):
+    # The limit of test_transform_budget_at_its_limit passes and one less
+    # refuses, with the field's images cleared and with them stored.
+    spec = field_for_q(q)
+    c1, c2 = random_code(spec, 2, 1, q), random_code(spec, 2, 2 if q > 2 else 1, q + 1)
+    base, sizes = cjwe(c1, c2), (c1.size, c2.size)
+    if variant == "both":
+        limit = _both_limit(c1, c2)
+    else:
+        limit = _pass_estimate(base, TRANSFORM_VARIANTS.index(variant))
+    expected = macwilliams_transform(base, variant, sizes)
+    for state in ("cold", "warm"):
+        if state == "cold":
+            _FIBER_IMAGES.clear()
+        else:
+            macwilliams_transform(avg_cjwe_bruteforce(c1, c2), variant, sizes)
+        with pytest.raises(CapacityError):
+            macwilliams_transform(base, variant, sizes, budget=limit - 1)
+        assert macwilliams_transform(base, variant, sizes, budget=limit) == expected, state
+
+
+def test_transform_rejects_non_rational_residue_when_warm():
+    # The residue of test_transform_rejects_non_rational_residue is still
+    # refused with x[1]'s image stored, and after a wider packing.
+    bad = EnumeratorPolynomial(F3, 1, 1, {(0, 1, 0): 1})
+    _FIBER_IMAGES.clear()
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            macwilliams_transform(bad, "first", (1,))
+    macwilliams_transform(avg_cjwe_bruteforce(SPAN3, SPAN3), "both", (3, 3))
+    assert 1 << 8 in _FIBER_IMAGES[F3][4]
+    with pytest.raises(RuntimeError):
+        macwilliams_transform(bad, "first", (1,))
+
+
+def test_fiber_tables_hold_no_more_terms_than_the_last_budget():
+    # A large pass stores many images; a pass with a small budget starts
+    # the field's table afresh rather than keep them.
+    spec = field_for_q(5)
+    big = [random_code(spec, 4, 2, s) for s in (1, 2)]
+    macwilliams_transform(cjwe(*big), "both", [c.size for c in big])
+    small = random_code(spec, 1, 1, 3)
+    base = cwe(small)
+    limit = _pass_estimate(base, 0)
+    assert _stored_terms(spec) > limit
+    expected = macwilliams_transform(base, "first", (small.size,))
+    assert macwilliams_transform(base, "first", (small.size,), budget=limit) == expected
+    assert 0 < _stored_terms(spec) <= limit
+    assert _FIBER_IMAGES[spec][5] == _stored_terms(spec)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])

@@ -11,7 +11,7 @@ import importlib
 import importlib.util
 import pathlib
 
-from weightenum import CLAIMS, run_claim
+from weightenum import CLAIMS, polynomials, run_claim
 
 _PATH = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("bench_tracing", _PATH)
@@ -41,6 +41,9 @@ def test_every_instrument_target_resolves():
 def test_traced_sweeps_match_untraced_and_record_their_kernels():
     assert set(KERNEL_SPANS) == set(CLAIMS)
     plain = {claim: run_claim(claim, q=2, n=1).to_text() for claim in CLAIMS}
+    # The untraced sweeps stored the fields' fiber images; drop them so the
+    # traced sweeps expand fibers again.
+    polynomials._FIBER_IMAGES.clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:
