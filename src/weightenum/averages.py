@@ -23,7 +23,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .capacity import DEFAULT_BUDGET, check_budget
@@ -105,11 +105,12 @@ def avg_gfold_closedform(
 
     with A the census counts (for g = 1 the tail census is {(n,): 1}).  The
     weight is nonzero exactly when both counts are, so the walk runs over
-    the two census supports: for each pair (s1, tail) it fills only the
-    tables with those margins, column by column within the row capacity
-    left, skipping empty rows and columns, and carries the product of the
-    column multinomials down through one factorial table.  Every table
-    reached is a term."""
+    the pairs (s1, tail) of the two census supports.  A pair's tables depend
+    only on its shape (nonzero row sums, nonzero column sums): _margin_tables
+    lists each shape once per call, kept as nonzero (row, column, entry)
+    cells that each pair writes at its own rows and columns; every table is
+    a term.  Its coefficient, A_{s1} * prod_z s1_z! * A_tail * (column
+    multinomials) over n!, is one Fraction per distinct numerator."""
     spec, n = _code_shape(codes)
     q = spec.q
     g = len(codes)
@@ -128,30 +129,39 @@ def avg_gfold_closedform(
     check_budget(tables * ncells, budget, "closed-form average")
 
     fact = [math.factorial(i) for i in range(n + 1)]
-    terms: dict[tuple[int, ...], Fraction] = {}
+    shapes: dict[tuple, list] = {}  # (row sums, column sums) -> its tables
+    terms: dict[tuple[int, ...], int] = {}  # eta -> numerator over n!, then its Fraction
+    tails = [(list(itertools.compress(range(tail_cells), tail)), tuple(filter(None, tail)), a)
+             for tail, a in tail_counts.items()]
     for s1, a1 in cen1.items():
-        rows = [z for z in range(q) if s1[z]]
-        row_sums = [s1[z] for z in rows]
-        offsets = [z * tail_cells for z in rows]
-        denom = fact[n] // math.prod(map(fact.__getitem__, row_sums))
-        for tail, a_tail in tail_counts.items():
-            cols = [b for b in range(tail_cells) if tail[b]]
-            for table, num in _margin_tables(row_sums, [tail[b] for b in cols], fact):
+        offsets = [z * tail_cells for z in itertools.compress(range(q), s1)]
+        row_sums = tuple(filter(None, s1))
+        head = a1 * math.prod(map(fact.__getitem__, row_sums))
+        for cols, col_sums, a_tail in tails:
+            if (listed := shapes.get((row_sums, col_sums))) is None:
+                listed = shapes[row_sums, col_sums] = []
+                for table, num in _margin_tables(row_sums, col_sums, fact):
+                    listed.append(([(i, j, e) for j, column in enumerate(table)
+                                    for i, e in enumerate(column) if e], num))
+            factor = head * a_tail
+            for cells, num in listed:
                 eta = [0] * ncells
-                for b, column in zip(cols, table):
-                    for off, e in zip(offsets, column):
-                        eta[off + b] = e
-                terms[tuple(eta)] = Fraction(a1 * a_tail * num, denom)
+                for i, j, e in cells:
+                    eta[offsets[i] + cols[j]] = e
+                terms[tuple(eta)] = factor * num
+    fracs = {c: Fraction(c, fact[n]) for c in set(terms.values())}
+    for e, c in terms.items():
+        terms[e] = fracs[c]
     return EnumeratorPolynomial._from_kernel(spec, g, n, terms)
 
 
 def _margin_tables(row_sums, col_sums, fact):
-    """Every non-negative integer table with these positive row and column
-    sums (equal totals), as (columns, prod_b mult(col_sums[b]; column b)),
-    with fact[i] = i! up to the total.  Depth first, one column at a time;
-    each column is a composition of its sum capped by the row capacity left,
-    so every branch completes, and the last column takes what is left.  A
-    branch carries the product of its entries' factorials, and the product
+    """Every non-negative integer table of one shape, these positive row and
+    column sums (equal totals), as (columns, prod_b mult(col_sums[b]; column
+    b)), with fact[i] = i! up to the total.  Depth first, one column at a
+    time; each column is a composition of its sum capped by the row capacity
+    left, so every branch completes, and the last column takes what is left.
+    A branch carries the product of its entries' factorials, and the product
     of the column sums' factorials is divided by it once per table."""
     last = len(col_sums) - 1
     fac = fact.__getitem__
@@ -210,6 +220,8 @@ class AverageReport:
 
     differences: list[tuple[tuple[int, ...], Fraction, Fraction]]
     agreed: bool
+    # compare's sort keys (bytes) when every cell is one digit, for the writer
+    _digit_exps: list | None = field(default=None, repr=False, compare=False)
 
     def to_doc(self) -> dict:
         return {
@@ -225,12 +237,13 @@ class AverageReport:
         }
 
     def to_text(self) -> str:
+        exps = self._digit_exps
+        digits = exps is not None or _one_digit(exps := [e for e, _, _ in self.differences])
         rows = [
             (e, f'"left": "{lv.numerator}/{lv.denominator}",\n'
                 f'      "right": "{rv.numerator}/{rv.denominator}"')
-            for e, lv, rv in self.differences
+            for e, (_, lv, rv) in zip(exps, self.differences)
         ]
-        digits = _one_digit([e for e, _, _ in self.differences])
         agreed = "true" if self.agreed else "false"
         return f'{{\n  "agreed": {agreed},\n  "differences": {_term_list_text(rows, digits)}\n}}\n'
 
@@ -238,7 +251,7 @@ class AverageReport:
 def compare(left: EnumeratorPolynomial, right: EnumeratorPolynomial) -> AverageReport:
     left._same_shape(right)
     # One lookup per exponent; equal normalized Fractions have equal parts.
-    # Only the differing exponents are sorted.
+    # Only the differing exponents are sorted, each converted to its key once.
     lt, rt, zero = left.terms, right.terms, Fraction(0)
     diffs = [
         (e, lv, rv) for e, lv in lt.items()
@@ -246,8 +259,10 @@ def compare(left: EnumeratorPolynomial, right: EnumeratorPolynomial) -> AverageR
     ]
     diffs += [(e, zero, rv) for e, rv in rt.items() if e not in lt and rv]
     key = _exp_key(left.n)
-    diffs.sort(key=lambda d: key(d[0]))
-    return AverageReport(diffs, not diffs)
+    keys = [key(e) for e, _, _ in diffs]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    diffs = [diffs[i] for i in order]
+    return AverageReport(diffs, not diffs, [keys[i] for i in order] if left.n <= 9 else None)
 
 
 # -- claim checkers -----------------------------------------------------------------

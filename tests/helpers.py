@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the dual oracle scans
 all q^n vectors instead of doing Gaussian elimination, subspace counts come
 from the Gaussian binomial product formula, and the group average and the
-Lemma 4.2 sums visit one monomial matrix at a time.  reference_rref is the
+Lemma 4.2 sums visit one monomial matrix at a time; the closed form weighs
+every composition of n into q^g cells.  reference_rref is the
 package's earlier, plainer elimination, kept as the reference for the
 faster one.
 """
@@ -11,6 +12,8 @@ faster one.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 from weightenum import (
@@ -86,6 +89,49 @@ def literal_group_average(codes) -> dict[tuple[int, ...], Fraction]:
         for cell in cells:
             exp[cell] += 1
         terms[tuple(exp)] = Fraction(c, order)
+    return terms
+
+
+def literal_closed_form(codes) -> dict[tuple[int, ...], Fraction]:
+    """Terms of the closed-form average of (C1, ..., Cg): the paper's weight
+
+        A_{s1} * A_tail * prod_b mult(tail_b; column_b(eta)) / mult(n; s1)
+
+    applied to every composition eta of n into q^g cells, read as a table
+    with q rows z and q^(g-1) columns b, eta_{z,b} at cell z * q^(g-1) + b,
+    row sums s1 and column sums tail.  The compositions are listed from
+    multisets of n cells, and both censuses are counted here from the
+    codewords (for g = 1 every word's tail is (n,))."""
+    spec, n = codes[0].spec, codes[0].n
+    q, g = spec.q, len(codes)
+    width = q ** (g - 1)
+
+    def mult(parts):
+        return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+
+    first = Counter(tuple(u.count(z) for z in range(q)) for u in codes[0].codeword_list())
+    tails = Counter()
+    for words in itertools.product(*(c.codeword_list() for c in codes[1:])):
+        profile = [0] * width
+        for i in range(n):
+            cell = 0
+            for word in words:
+                cell = cell * q + word[i]
+            profile[cell] += 1
+        tails[tuple(profile)] += 1
+    terms = {}
+    for cells in itertools.combinations_with_replacement(range(q**g), n):
+        eta, s1, tail = [0] * q**g, [0] * q, [0] * width
+        for cell in cells:
+            eta[cell] += 1
+            s1[cell // width] += 1
+            tail[cell % width] += 1
+        count = first[tuple(s1)] * tails[tuple(tail)]
+        if count:
+            columns = math.prod(
+                mult([eta[z * width + b] for z in range(q)]) for b in range(width) if tail[b]
+            )
+            terms[tuple(eta)] = Fraction(count * columns, mult(s1))
     return terms
 
 

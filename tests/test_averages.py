@@ -20,6 +20,7 @@ from weightenum import (
     avg_gfold_bruteforce,
     avg_gfold_closedform,
     avg_macwilliams,
+    census,
     check_lemma31,
     check_lemma42,
     cjwe,
@@ -34,7 +35,7 @@ from weightenum import (
 from weightenum import averages, run_claim
 from weightenum.averages import lemma42_results
 
-from helpers import literal_group_average, literal_lemma42
+from helpers import literal_closed_form, literal_group_average, literal_lemma42
 
 F2 = FieldSpec(2, 1)
 F3 = FieldSpec(3, 1)
@@ -199,6 +200,49 @@ def test_closedform_budget_counts_tables():
     full = LinearCode(f9, 2, [(1, 0), (0, 1)])
     with pytest.raises(CapacityError):
         avg_gfold_closedform([full, full, full])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_closedform_matches_literal_composition_walk(q, g):
+    # The longest n <= 3 whose walk over the compositions of n into q^g
+    # cells stays small.
+    n = next(n for n in (3, 2, 1) if math.comb(n + q**g - 1, n) <= 20000)
+    codes = _seeded_codes(q, g, n, q * 100 + g)
+    assert avg_gfold_closedform(codes).terms == literal_closed_form(codes)
+
+
+@pytest.mark.parametrize("q,g,n,seed", [(3, 3, 3, 2), (4, 3, 3, 1), (2, 2, 6, 3)])
+def test_closedform_lists_each_shape_once(monkeypatch, q, g, n, seed):
+    # A shape is (nonzero row sums, nonzero column sums); every pair
+    # (s1, tail) of that shape shares one listing of its tables.
+    codes = _seeded_codes(q, g, n, seed)
+    listed = []
+    margin_tables = averages._margin_tables
+
+    def counting(row_sums, col_sums, fact):
+        listed.append((tuple(row_sums), tuple(col_sums)))
+        return margin_tables(row_sums, col_sums, fact)
+
+    monkeypatch.setattr(averages, "_margin_tables", counting)
+    assert avg_gfold_closedform(codes).terms == literal_closed_form(codes)
+    heads, tails = census(codes[:1]), census(codes[1:])
+    shapes = {(tuple(filter(None, s1)), tuple(filter(None, t))) for s1 in heads for t in tails}
+    assert sorted(listed) == sorted(shapes)
+    assert len(listed) < len(heads) * len(tails)
+
+
+def test_closedform_of_a_full_space_triple_is_fast():
+    # 27,027 pairs (s1, tail) of 176 shapes give 169,911 terms; the text is
+    # the one the per-pair listing wrote.
+    spec = field_for_q(3)
+    full = LinearCode(spec, 5, [tuple(int(i == j) for j in range(5)) for i in range(5)])
+    start = time.perf_counter()
+    avg = avg_gfold_closedform([full, full, full])
+    assert time.perf_counter() - start < 1.0
+    assert len(avg.terms) == 169911
+    digest = "deecec63324394adc8da7a67e5c98bc2e39762cf5d0b749316e2ce7879bbf287"
+    assert hashlib.sha256(avg.to_text().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
