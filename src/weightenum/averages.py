@@ -23,15 +23,13 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacity import DEFAULT_BUDGET, check_budget
 from .codes import LinearCode, MonomialMatrix, apply_monomial_code, monomial_group_order
 from .compositions import _code_shape, census, count_profiles, iter_compositions
-from .polynomials import (
-    EnumeratorPolynomial, _exp_key, _one_digit, _term_list_text, macwilliams_transform,
-)
+from .polynomials import EnumeratorPolynomial, _term_list_text, macwilliams_transform
 
 
 # -- brute-force averages -------------------------------------------------------
@@ -78,9 +76,7 @@ def avg_gfold_bruteforce(
     tail_lists = [c.codeword_list(budget=budget) for c in codes[1:]]
     counts = count_profiles(tally[0].items(), tail_lists, q, n)
     group = monomial_group_order(spec, n)
-    fracs = {c: Fraction(c, group) for c in set(counts.values())}
-    terms = {e: fracs[c] for e, c in counts.items()}
-    return EnumeratorPolynomial._from_kernel(spec, g, n, terms)
+    return EnumeratorPolynomial._from_kernel(spec, g, n, counts.items(), group)
 
 
 def avg_cjwe_bruteforce(
@@ -109,8 +105,8 @@ def avg_gfold_closedform(
     only on its shape (nonzero row sums, nonzero column sums): _margin_tables
     lists each shape once per call, kept as nonzero (row, column, entry)
     cells that each pair writes at its own rows and columns; every table is
-    a term.  Its coefficient, A_{s1} * prod_z s1_z! * A_tail * (column
-    multinomials) over n!, is one Fraction per distinct numerator."""
+    a term, yielded once with its numerator A_{s1} * prod_z s1_z! * A_tail *
+    (column multinomials) over n!."""
     spec, n = _code_shape(codes)
     q = spec.q
     g = len(codes)
@@ -129,30 +125,29 @@ def avg_gfold_closedform(
     check_budget(tables * ncells, budget, "closed-form average")
 
     fact = [math.factorial(i) for i in range(n + 1)]
-    shapes: dict[tuple, list] = {}  # (row sums, column sums) -> its tables
-    terms: dict[tuple[int, ...], int] = {}  # eta -> numerator over n!, then its Fraction
     tails = [(list(itertools.compress(range(tail_cells), tail)), tuple(filter(None, tail)), a)
              for tail, a in tail_counts.items()]
-    for s1, a1 in cen1.items():
-        offsets = [z * tail_cells for z in itertools.compress(range(q), s1)]
-        row_sums = tuple(filter(None, s1))
-        head = a1 * math.prod(map(fact.__getitem__, row_sums))
-        for cols, col_sums, a_tail in tails:
-            if (listed := shapes.get((row_sums, col_sums))) is None:
-                listed = shapes[row_sums, col_sums] = []
-                for table, num in _margin_tables(row_sums, col_sums, fact):
-                    listed.append(([(i, j, e) for j, column in enumerate(table)
-                                    for i, e in enumerate(column) if e], num))
-            factor = head * a_tail
-            for cells, num in listed:
-                eta = [0] * ncells
-                for i, j, e in cells:
-                    eta[offsets[i] + cols[j]] = e
-                terms[tuple(eta)] = factor * num
-    fracs = {c: Fraction(c, fact[n]) for c in set(terms.values())}
-    for e, c in terms.items():
-        terms[e] = fracs[c]
-    return EnumeratorPolynomial._from_kernel(spec, g, n, terms)
+
+    def pairs():  # (eta, numerator over n!); every eta is distinct
+        shapes: dict[tuple, list] = {}  # (row sums, column sums) -> its tables
+        for s1, a1 in cen1.items():
+            offsets = [z * tail_cells for z in itertools.compress(range(q), s1)]
+            row_sums = tuple(filter(None, s1))
+            head = a1 * math.prod(map(fact.__getitem__, row_sums))
+            for cols, col_sums, a_tail in tails:
+                if (listed := shapes.get((row_sums, col_sums))) is None:
+                    listed = shapes[row_sums, col_sums] = []
+                    for table, num in _margin_tables(row_sums, col_sums, fact):
+                        listed.append(([(i, j, e) for j, column in enumerate(table)
+                                        for i, e in enumerate(column) if e], num))
+                factor = head * a_tail
+                for cells, num in listed:
+                    eta = [0] * ncells
+                    for i, j, e in cells:
+                        eta[offsets[i] + cols[j]] = e
+                    yield tuple(eta), factor * num
+
+    return EnumeratorPolynomial._from_kernel(spec, g, n, pairs(), fact[n])
 
 
 def _margin_tables(row_sums, col_sums, fact):
@@ -220,8 +215,6 @@ class AverageReport:
 
     differences: list[tuple[tuple[int, ...], Fraction, Fraction]]
     agreed: bool
-    # compare's sort keys (bytes) when every cell is one digit, for the writer
-    _digit_exps: list | None = field(default=None, repr=False, compare=False)
 
     def to_doc(self) -> dict:
         return {
@@ -237,32 +230,27 @@ class AverageReport:
         }
 
     def to_text(self) -> str:
-        exps = self._digit_exps
-        digits = exps is not None or _one_digit(exps := [e for e, _, _ in self.differences])
         rows = [
             (e, f'"left": "{lv.numerator}/{lv.denominator}",\n'
                 f'      "right": "{rv.numerator}/{rv.denominator}"')
-            for e, (_, lv, rv) in zip(exps, self.differences)
+            for e, lv, rv in self.differences
         ]
         agreed = "true" if self.agreed else "false"
-        return f'{{\n  "agreed": {agreed},\n  "differences": {_term_list_text(rows, digits)}\n}}\n'
+        return f'{{\n  "agreed": {agreed},\n  "differences": {_term_list_text(rows)}\n}}\n'
 
 
 def compare(left: EnumeratorPolynomial, right: EnumeratorPolynomial) -> AverageReport:
     left._same_shape(right)
     # One lookup per exponent; equal normalized Fractions have equal parts.
-    # Only the differing exponents are sorted, each converted to its key once.
+    # Only the differing exponents are sorted, each by its bytes, as to_text sorts.
     lt, rt, zero = left.terms, right.terms, Fraction(0)
     diffs = [
         (e, lv, rv) for e, lv in lt.items()
         if (rv := rt.get(e, zero)).numerator != lv.numerator or rv.denominator != lv.denominator
     ]
     diffs += [(e, zero, rv) for e, rv in rt.items() if e not in lt and rv]
-    key = _exp_key(left.n)
-    keys = [key(e) for e, _, _ in diffs]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    diffs = [diffs[i] for i in order]
-    return AverageReport(diffs, not diffs, [keys[i] for i in order] if left.n <= 9 else None)
+    diffs.sort(key=lambda d: bytes(d[0]))
+    return AverageReport(diffs, not diffs)
 
 
 # -- claim checkers -----------------------------------------------------------------

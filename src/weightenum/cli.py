@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .capacity import DEFAULT_BUDGET, CapacityError
+from .capacity import DEFAULT_BUDGET, CapacityError, _count
 from .averages import avg_cjwe_bruteforce, avg_gfold_bruteforce, avg_gfold_closedform
 from .codes import CodeFileError, format_code_file, parse_code_file, random_code
 from .field import field_for_q
@@ -57,7 +57,14 @@ def _emit(args, text: str) -> None:
 
 
 def _poly_text(args, poly) -> str:
-    return poly.pretty() + "\n" if args.pretty else poly.to_text()
+    if args.pretty:
+        return poly.pretty() + "\n"
+    # Refuse a canonical text that cannot fit before building it: each
+    # exponent cell takes at least 10 characters (8 of indent, a digit, "\n").
+    if (size := 10 * len(poly.terms) * poly.spec.q**poly.fold) > args.budget:
+        raise CapacityError(f"the enumerator text needs about {_count(size)} characters, "
+                            f"over the budget of {_count(args.budget)}")
+    return poly.to_text()
 
 
 def _cmd_enumerate(args) -> int:

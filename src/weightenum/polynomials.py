@@ -25,16 +25,16 @@ Serialized form (canonical, bit-exact round trip):
     {"fold": g, "q": q, "n": n,
      "terms": [{"exp": [e_0, ..., e_{q^g-1}], "coef": "<num>/<den>"}, ...]}
 
-with terms sorted lexicographically by exponent tuple (below n = 256 as
-the exponents' bytes, which sort the same way).  The canonical text is
-written directly and is byte-identical to json.dumps(doc, indent=2) + "\n"
-of that document; one term-list writer serves enumerators and comparison
-reports.  It picks its path once per list.  Exponents of one length and
-one-digit cells (every list when n <= 9) have a fixed layout: each
-overwrites the digit bytes of one template of q^g "0" cells with its bytes
-translated to digits.  In any other list each exponent is joined cell by
-cell with str.join.  The pretty renderer names variables x[i] / x[i,j] /
-x[i1,...,ig] by element indices.
+with terms sorted lexicographically by exponent tuple; the degree is
+capped at 255, so exponents are keyed and sorted as their bytes, which sort
+the same way.  The canonical text is written directly and is byte-identical
+to json.dumps(doc, indent=2) + "\n" of that document; one term-list writer
+serves enumerators and comparison reports.  It writes each exponent into
+one template of q^g "0" cells, its bytes translated to digits, and at the
+first exponent with a cell outside [0, 9] or another length joins every
+exponent cell by cell with str.join instead.  Every kernel result is built
+by _from_kernel, one Fraction per distinct numerator.  The pretty renderer
+names variables x[i] / x[i,j] / x[i1,...,ig] by element indices.
 """
 
 from __future__ import annotations
@@ -54,6 +54,17 @@ from .field import FieldSpec, field_for_q
 TRANSFORM_VARIANTS = ("first", "second", "both")
 
 
+class _Memo(dict):
+    """Maps each key through one function, called once per distinct key."""
+
+    def __init__(self, function):
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value
+
+
 class EnumeratorPolynomial:
     """Homogeneous sparse polynomial in the q^fold cell variables."""
 
@@ -61,6 +72,8 @@ class EnumeratorPolynomial:
 
     def __init__(self, spec: FieldSpec, fold: int, n: int, terms: dict):
         fold, n = operator.index(fold), operator.index(n)
+        if n > 255:  # no code reaches it: code lengths are capped far lower
+            raise CapacityError(f"degree {n} exceeds the cap 255 of one byte per exponent cell")
         ncells = spec.q**fold
         clean: dict[tuple[int, ...], Fraction] = {}
         for exp, coef in terms.items():
@@ -80,14 +93,20 @@ class EnumeratorPolynomial:
         self.terms = clean
 
     @classmethod
-    def _from_kernel(cls, spec: FieldSpec, fold: int, n: int, terms: dict) -> EnumeratorPolynomial:
-        """Wrap kernel-built terms (valid exponent tuples -> nonzero Fractions) unchecked."""
+    def _from_kernel(
+        cls, spec: FieldSpec, fold: int, n: int, pairs, denominator: int
+    ) -> EnumeratorPolynomial:
+        """Wrap a kernel's (valid exponent tuple, nonzero integer numerator)
+        pairs, each exponent once, over one positive denominator, unchecked.
+        Each distinct numerator becomes one Fraction that its terms share."""
         self = cls.__new__(cls)
-        self.spec, self.fold, self.n, self.terms = spec, fold, n, terms
+        coef = _Memo(lambda c: Fraction(c, denominator))
+        self.spec, self.fold, self.n = spec, fold, n
+        self.terms = {e: coef[c] for e, c in pairs}
         return self
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items())
+        return [(e, self.terms[e]) for e in sorted(self.terms, key=bytes)]
 
     def coefficient(self, exp) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
@@ -144,10 +163,8 @@ class EnumeratorPolynomial:
         }
 
     def to_text(self) -> str:
-        rows = sorted(zip(map(_exp_key(self.n), self.terms), self.terms.values()))
-        terms = _term_list_text(
-            [(e, f'"coef": "{c.numerator}/{c.denominator}"') for e, c in rows], self.n <= 9
-        )
+        rows = sorted(zip(map(bytes, self.terms), self.terms.values()))
+        terms = _term_list_text([(e, f'"coef": "{c.numerator}/{c.denominator}"') for e, c in rows])
         return (
             f'{{\n  "fold": {self.fold},\n  "q": {self.spec.q},\n  "n": {self.n},\n'
             f'  "terms": {terms}\n}}\n'
@@ -211,8 +228,8 @@ def cjwe(c1: LinearCode, c2: LinearCode, *, budget: int = DEFAULT_BUDGET) -> Enu
 def gfold_cjwe(codes: list[LinearCode], *, budget: int = DEFAULT_BUDGET) -> EnumeratorPolynomial:
     """Joint enumerator of g codes: sum over codeword tuples of the monomial
     recording their fold-g composition profile, counted by the census."""
-    terms = {e: Fraction(c) for e, c in census(codes, budget=budget).items()}
-    return EnumeratorPolynomial._from_kernel(codes[0].spec, len(codes), codes[0].n, terms)
+    counts = census(codes, budget=budget)
+    return EnumeratorPolynomial._from_kernel(codes[0].spec, len(codes), codes[0].n, counts.items(), 1)
 
 
 # -- character-sum transforms -----------------------------------------------------
@@ -237,8 +254,8 @@ def macwilliams_transform(
     the input was built from, up to the largest dualized slot; any fold
     that has that slot is accepted.  One _slot_pass per slot runs, in
     decreasing order of code size (ties in slot order), on coefficients
-    scaled to integers by their common denominator; the denominator times
-    the code sizes divides them at the end.  Exponents are packed one byte
+    scaled to integers by their common denominator, which times the code
+    sizes is the result's one denominator.  Exponents are packed one byte
     per cell in each pass's fiber order: from the input, between passes,
     and back to tuples at the end.
     """
@@ -253,8 +270,6 @@ def macwilliams_transform(
     for s in map(sizes.__getitem__, slots):
         if not hasattr(s, "__index__") or operator.index(s) < 1:
             raise ValueError(f"code sizes must be positive integers, got {s!r}")
-    if P.n > 255:  # code lengths are capped far lower; no code reaches this
-        raise CapacityError(f"transform packs exponents in bytes; degree {P.n} is over 255")
     q, ncells, order = P.spec.q, P.spec.q**P.fold, sys.byteorder
     denom = math.lcm(*(c.denominator for c in P.terms.values()))
     rows = ((e, c.numerator * (denom // c.denominator)) for e, c in P.terms.items())
@@ -269,10 +284,9 @@ def macwilliams_transform(
         at = sorted(range(ncells), key=cells.__getitem__)
         rows = ((k.to_bytes(ncells, order), c) for k, c in terms.items())
     denom *= math.prod(sizes[j] for j in slots)
-    fracs = {c: Fraction(c, denom) for c in set(terms.values())}
     get = operator.itemgetter(*at)
     return EnumeratorPolynomial._from_kernel(
-        P.spec, P.fold, P.n, {get(raw): fracs[c] for raw, c in rows})
+        P.spec, P.fold, P.n, ((get(raw), c) for raw, c in rows), denom)
 
 
 # Each field's fiber images, built on first use: FieldSpec -> [width,
@@ -381,43 +395,29 @@ _TERM_SEP = '\n    },\n    {\n      "exp": [\n        '
 _EXP_END = "\n      ],\n      "
 
 
-class _CellText(dict):
-    def __missing__(self, cell):
-        text = self[cell] = str(cell)
-        return text
-
-
-def _exp_key(n: int):
-    """Sort key of degree-n exponents: bytes below 256 (same order as tuples)."""
-    return bytes if n < 256 else tuple
-
-
 # bytes.translate table: a cell in [0, 9] becomes its digit, a larger one a
 # byte that ASCII decoding refuses.
 _DIGITS = bytes(range(48, 58)).ljust(256, b"\x80")
 
 
-def _one_digit(exps) -> bool:
-    """Whether exps (tuples) have one length and every cell in [0, 9]."""
-    return len(set(map(len, exps))) == 1 and set().union(*exps).issubset(range(10))
-
-
-def _term_list_text(rows, digits: bool) -> str:
+def _term_list_text(rows) -> str:
     """Indent-2 JSON text of a term list from a list of (exp, rest) rows: exp
     a tuple or bytes of int cells, rest the object's other members already
-    written ('"coef": "1/2"'), free of characters JSON escapes.  With digits
-    set (see _one_digit) the exponents overwrite the digits of one template;
-    otherwise each is joined cell by cell."""
+    written ('"coef": "1/2"'), free of characters JSON escapes.  Each
+    exponent overwrites the digits of one template of the first exponent's
+    length; the first exponent that cannot (a cell outside [0, 9] fails to
+    decode or to become a byte, another length fails to fit) raises
+    ValueError, and then every exponent is joined cell by cell instead."""
     if not rows:
         return "[]"
-    if digits:
+    try:
         step = 1 + len(_CELL_SEP)
         template = bytearray(_CELL_SEP.join("0" * len(rows[0][0])), "ascii")
         items = []
         for e, rest in rows:
             template[::step] = bytes(e).translate(_DIGITS)
             items.append(f"{template.decode('ascii')}{_EXP_END}{rest}")
-    else:
-        cell = _CellText().__getitem__
+    except ValueError:
+        cell = _Memo(str).__getitem__
         items = [f"{_CELL_SEP.join(map(cell, e))}{_EXP_END}{rest}" for e, rest in rows]
     return f'[\n    {{\n      "exp": [\n        {_TERM_SEP.join(items)}\n    }}\n  ]'

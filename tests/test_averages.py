@@ -27,6 +27,8 @@ from weightenum import (
     compare,
     cwe,
     field_for_q,
+    gfold_cjwe,
+    macwilliams_transform,
     monomial_group,
     monomial_group_order,
     random_code,
@@ -210,6 +212,20 @@ def test_closedform_matches_literal_composition_walk(q, g):
     n = next(n for n in (3, 2, 1) if math.comb(n + q**g - 1, n) <= 20000)
     codes = _seeded_codes(q, g, n, q * 100 + g)
     assert avg_gfold_closedform(codes).terms == literal_closed_form(codes)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_kernel_results_share_equal_coefficients(q):
+    # Every kernel builds one Fraction per distinct coefficient.
+    spec = field_for_q(q)
+    codes = [random_code(spec, 2, k, 70 + q) for k in (1, 2)]
+    base = gfold_cjwe(codes)
+    results = [base, avg_gfold_bruteforce(codes), avg_gfold_closedform(codes),
+               macwilliams_transform(base, "first", [c.size for c in codes])]
+    for poly in results:
+        coefs = list(poly.terms.values())
+        assert len(set(coefs)) < len(coefs)
+        assert len(set(map(id, coefs))) == len(set(coefs))
 
 
 @pytest.mark.parametrize("q,g,n,seed", [(3, 3, 3, 2), (4, 3, 3, 1), (2, 2, 6, 3)])

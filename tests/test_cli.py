@@ -547,13 +547,16 @@ def test_byte_determinism_across_runs(files, capsys):
 
 # (q, n, k, seed) of each `random-code` file the gate reads.
 _GATE_FILES = {"a": (8, 3, 3, 1), "b": (8, 3, 1, 2), "f": (16, 3, 3, 1), "h": (16, 3, 2, 2),
-               "u": (16, 2, 1, 1)}
+               "u": (16, 2, 1, 1), "w": (4, 4, 4, 1)}
 # Each argv with its exit code: the q = 8 and q = 16 averages over n = 3 and
 # the same files under the closed form and the census are refused (their
 # output alone would be gigabytes); q = 16, n = 2 at g = 2 (256 cells) runs.
+# The q = 4, n = 4 full-space triple passes the closed form's budget, and
+# its 766,480 terms of 64 cells are refused before their text is written.
 _GATE_RUNS = {
     "avg a b a": 3, "avg f f": 3, "avg f h": 3, "transform f h --average": 3,
     "avg --method closed a b a": 3, "avg --method closed f h": 3,
+    "avg --method closed w w w": 3,
     "gjwe a b a": 3, "gjwe f h": 3,
     "avg u u": 0, "avg --method closed u u": 0, "gjwe u u": 0, "transform u u --average": 0,
 }

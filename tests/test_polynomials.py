@@ -507,9 +507,25 @@ def test_transform_degree_at_the_byte_limit():
     second = {(n - k, k, 0, 0): math.comb(n, k) for k in range(n + 1)}
     assert macwilliams_transform(base, "first", (1, 1)).terms == first
     assert macwilliams_transform(base, "second", (1, 1)).terms == second
-    over = EnumeratorPolynomial(F2, 2, n + 1, {(n + 1, 0, 0, 0): 1})
     with pytest.raises(CapacityError):
-        macwilliams_transform(over, "first", (1, 1))
+        EnumeratorPolynomial(F2, 2, n + 1, {(n + 1, 0, 0, 0): 1})
+
+
+def test_degree_is_capped_at_255():
+    # Exponents are keyed one byte per cell, as code lengths are capped at 16.
+    exp = (100, 155, 0)
+    doc = {"fold": 1, "q": 3, "n": 255, "terms": [{"exp": list(exp), "coef": "-1/2"}]}
+    poly = EnumeratorPolynomial(F3, 1, 255, {exp: Fraction(-1, 2)})
+    assert EnumeratorPolynomial.from_text(json.dumps(doc)) == poly
+    assert EnumeratorPolynomial.from_text(poly.to_text()) == poly
+    doc.update(n=256, terms=[{"exp": [101, 155, 0], "coef": "-1/2"}])
+    message = "degree 256 exceeds the cap 255"
+    with pytest.raises(CapacityError, match=message):
+        EnumeratorPolynomial(F3, 1, 256, {(101, 155, 0): Fraction(-1, 2)})
+    with pytest.raises(CapacityError, match=message):
+        EnumeratorPolynomial(F3, 1, 256, {})
+    with pytest.raises(CapacityError, match=message):
+        EnumeratorPolynomial.from_text(json.dumps(doc))
 
 
 def test_transform_rejects_non_rational_residue():

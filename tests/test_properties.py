@@ -1,6 +1,7 @@
 """Hypothesis property tests.  The profile loaded in conftest.py keeps them
 derandomized and bounded."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -22,11 +23,16 @@ _COEFS = st.builds(
 @st.composite
 def _polynomial_pairs(draw):
     """Two polynomials of one random shape: terms with random exponents
-    (up to a few hundred) and signed, non-unit rational coefficients."""
+    (cells up to 255, the degree cap) and signed, non-unit rational
+    coefficients."""
     q, fold = draw(st.sampled_from(_SHAPES))
     ncells = q**fold
-    cells = st.lists(st.integers(0, 300), min_size=ncells, max_size=ncells)
-    exps = draw(st.lists(cells, max_size=12))
+    cells = st.lists(st.integers(0, 255), min_size=ncells, max_size=ncells)
+    exps = []
+    for e in draw(st.lists(cells, max_size=12)):
+        # Cap the running sum at 255: cells past the cap shrink.
+        ends = [min(s, 255) for s in itertools.accumulate(e, initial=0)]
+        exps.append([b - a for a, b in zip(ends, ends[1:])])
     # Top each exponent up in its last cell to the common degree n.
     n = max((sum(e) for e in exps), default=draw(st.integers(0, 5)))
     exps = [tuple(e[:-1]) + (e[-1] + n - sum(e),) for e in exps]

@@ -29,7 +29,7 @@ from weightenum import (
     random_code,
     run_claim,
 )
-from weightenum.polynomials import _one_digit
+from weightenum import polynomials
 
 F2 = FieldSpec(2, 1)
 F3 = FieldSpec(3, 1)
@@ -41,6 +41,16 @@ def _assert_json_dumps_text(obj):
     text = obj.to_text()
     assert text.split("\n") == (json.dumps(obj.to_doc(), indent=2) + "\n").split("\n")
     return text
+
+
+def _joins_cells(monkeypatch, obj):
+    """Whether obj's text took the join path, the one writer path that
+    builds a _Memo (of cell texts); the text must match json.dumps."""
+    built, memo = [], polynomials._Memo
+    monkeypatch.setattr(polynomials, "_Memo", lambda function: built.append(function) or memo(function))
+    _assert_json_dumps_text(obj)
+    monkeypatch.undo()
+    return bool(built)
 
 
 def _check_poly(poly):
@@ -76,14 +86,24 @@ def test_writer_on_the_empty_polynomial():
 
 
 def test_writer_on_signed_fractions_and_long_exponents():
-    poly = EnumeratorPolynomial(F3, 1, 300, {
-        (300, 0, 0): Fraction(-7, 3),
-        (123, 77, 100): Fraction(10**30 + 1, 2**70),
-        (0, 0, 300): -5,
-        (1, 299, 0): Fraction(1, 10**9),
+    poly = EnumeratorPolynomial(F3, 1, 255, {
+        (255, 0, 0): Fraction(-7, 3),
+        (123, 77, 55): Fraction(10**30 + 1, 2**70),
+        (0, 0, 255): -5,
+        (1, 254, 0): Fraction(1, 10**9),
     })
     text = poly.to_text()
-    assert '"coef": "-7/3"' in text and "\n        299,\n" in text
+    assert '"coef": "-7/3"' in text and "\n        254,\n" in text
+    _check_poly(poly)
+
+
+def test_writer_templates_one_digit_cells_at_n_10(monkeypatch):
+    # Degree 10 with every cell one digit goes through the template.
+    spec = field_for_q(4)
+    exps = [(1,) * 10 + (0,) * 6, (0,) * 6 + (1,) * 10, (2,) * 5 + (0,) * 11,
+            (0, 3) * 3 + (1,) + (0,) * 9, (9,) + (0,) * 14 + (1,)]
+    poly = EnumeratorPolynomial(spec, 2, 10, {e: Fraction(2 * i - 5, 3) for i, e in enumerate(exps)})
+    assert not _joins_cells(monkeypatch, poly)
     _check_poly(poly)
 
 
@@ -123,13 +143,17 @@ def test_writer_at_the_one_digit_boundary(n, fold):
     ([(3, 256), (1, 2)], False),
     ([(0, 9), (1, 2, 3), (4, 5)], False),
     ([(0, 9), (-1, 2)], False),
+    ([(0, 9), (4, 5), (9, 0), (2, 2), (1, 10)], False),
+    ([(1, 1), (2, 3), (5, 8), (255, 0), (1, 1)], False),
+    ([(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 9, 300)], False),
+    ([(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 9)], False),
 ])
-def test_report_writer_picks_its_path_per_list(rows, digits):
+def test_report_writer_picks_its_path_per_list(monkeypatch, rows, digits):
     # Any cell outside [0, 9], or rows of two lengths, send the whole list
-    # down the join path; the text is the same either way.
-    assert _one_digit(rows) is digits
+    # down the join path, also after rows already written through the
+    # template; the text is the same either way.
     report = AverageReport([(e, Fraction(i), Fraction(-1, i + 2)) for i, e in enumerate(rows)], False)
-    _assert_json_dumps_text(report)
+    assert _joins_cells(monkeypatch, report) is not digits
 
 
 def test_writer_on_reports_that_agree_and_differ():
